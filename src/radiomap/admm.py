@@ -8,17 +8,22 @@ one auxiliary matrix per unfolding (m[i], multiplier y[i]) plus split
 variables p, q so that extra priors on x and e can be plugged in as
 proximal mappings; the classical solver uses the identity mapping.
 
-solve_halrtc keeps only the unfolding machinery and re-imposes the data
-exactly each sweep, giving the standard baseline for pure low-rank
+block_step is the one copy of that iteration. solve_admm runs it on numpy
+arrays; each block of the unrolled network (radiomap.unrolled) runs the same
+function on autodiff Nodes, with learned scalars and learned P/Q mappings.
+
+solve_halrtc keeps only the unfolding machinery (update_m_i) and re-imposes
+the data exactly each sweep, giving the standard baseline for pure low-rank
 completion.
 """
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
-from .shrinkage import soft_threshold, svt
+from .shrinkage import scale_to_ball, soft_threshold, svt
 from .tensors import MODES, ObservationMask, as_tensor, fold, fro_norm, project, unfold
 
 
@@ -77,7 +82,8 @@ class AdmmHyperParams:
 
 @dataclass
 class AdmmState:
-    """All iterates of one solve.
+    """All iterates of one solve: ndarrays, or autodiff Nodes in the
+    unrolled network.
 
     lam, gam, phi are the multipliers of the data-fit, x-split, and
     e-split constraints; y[i] are the multipliers tying x to m[i].
@@ -97,57 +103,64 @@ class AdmmState:
     primal_residual: float = 0.0
 
     @classmethod
-    def initial(cls, d: np.ndarray, mask: ObservationMask) -> "AdmmState":
-        """Zero everything except x, which starts at the observed cells."""
-        x = project(d, mask)
-        zeros = lambda: np.zeros_like(d)
+    def initial(cls, d: np.ndarray, mask: ObservationMask, leaf=lambda a: a) -> "AdmmState":
+        """Zero everything except x, which starts at the observed cells;
+        leaf wraps each starting array (ad.Node for the unrolled network)."""
+        zeros = lambda: leaf(np.zeros_like(d))
         return cls(
-            x=x, e=zeros(), n=zeros(), p=zeros(), q=zeros(),
+            x=leaf(project(d, mask)), e=zeros(), n=zeros(), p=zeros(), q=zeros(),
             lam=zeros(), gam=zeros(), phi=zeros(),
             m=[zeros() for _ in MODES], y=[zeros() for _ in MODES],
         )
 
 
-def psi_x(state: AdmmState, d, mask, hp: AdmmHyperParams) -> np.ndarray:
+# The update steps below are the only copy of the iteration. They are written
+# with operators only, so they run on ndarrays (the classical solvers) and on
+# autodiff Nodes (the unrolled network) alike. The kernels they need come from
+# `ops`: the numpy namespace of numpy_ops() or the radiomap.autodiff module.
+# pd is the data projected onto the observed cells.
+
+def numpy_ops() -> SimpleNamespace:
+    """The numpy kernels, read from this module's names at each call, so a
+    name rebound here after import (a tracing wrapper, say) is the one the
+    solvers use."""
+    return SimpleNamespace(svt=svt, fold=fold, unfold=unfold, soft_threshold=soft_threshold,
+                           project=project, scale_to_ball=scale_to_ball)
+
+
+def psi_x(state: AdmmState, pd, hp: AdmmHyperParams):
     """Consensus target pulling x towards the data and its split variable."""
-    pd = project(d, mask)
     num = state.lam + hp.mu * (pd - state.e - state.n) + hp.theta * state.p - state.gam
     return num / (hp.mu + hp.theta)
 
 
-def update_m_i(state: AdmmState, hp: AdmmHyperParams) -> list:
+def update_m_i(state: AdmmState, hp: AdmmHyperParams, ops) -> list:
     """Shrink each unfolding of x (offset by its multiplier) towards low rank."""
     dims = state.x.shape
-    out = []
-    for i, mode in enumerate(MODES):
-        g = unfold(state.x, mode) + unfold(state.y[i], mode) / hp.rho
-        out.append(fold(svt(g, hp.alpha[i] / hp.rho), mode, dims))
-    return out
+    return [ops.fold(ops.svt(ops.unfold(state.x + state.y[i] / hp.rho, mode),
+                             hp.alpha[i] / hp.rho), mode, dims)
+            for i, mode in enumerate(MODES)]
 
 
-def update_x(state: AdmmState, psi: np.ndarray, hp: AdmmHyperParams) -> np.ndarray:
+def update_x(state: AdmmState, psi, hp: AdmmHyperParams):
     """Closed-form x step: average of the auxiliaries and the consensus target."""
-    acc = np.zeros_like(state.x)
-    for mi, yi in zip(state.m, state.y):
-        acc += hp.rho * mi - yi
+    terms = [hp.rho * mi - yi for mi, yi in zip(state.m, state.y)]
+    acc = sum(terms[1:], terms[0])  # no int 0 start: a Node cannot add it
     return (acc + (hp.mu + hp.theta) * psi) / (3.0 * hp.rho + hp.mu + hp.theta)
 
 
-def update_e(state: AdmmState, d, mask, hp: AdmmHyperParams) -> np.ndarray:
+def update_e(state: AdmmState, pd, hp: AdmmHyperParams, ops):
     """Sparse step: soft-threshold the residual left after the new x."""
-    pd = project(d, mask)
     num = state.lam + hp.mu * (pd - state.x - state.n) + hp.beta * state.q - state.phi
     psi_e = num / (hp.mu + hp.beta)
-    return soft_threshold(psi_e, hp.lam / (hp.mu + hp.beta))
+    return ops.soft_threshold(psi_e, hp.lam / (hp.mu + hp.beta))
 
 
-def update_n(state: AdmmState, d, mask, hp: AdmmHyperParams) -> np.ndarray:
+def update_n(state: AdmmState, pd, mask: ObservationMask, hp: AdmmHyperParams, ops):
     """Noise step: keep the off-mask residual, clip the on-mask part to the ball."""
-    psi_n = project(d, mask) - state.x - state.e + state.lam / hp.mu
-    on = project(psi_n, mask)
-    r = fro_norm(on)
-    factor = 1.0 if r == 0.0 else min(hp.delta / r, 1.0)
-    return (psi_n - on) + factor * on
+    psi_n = pd - state.x - state.e + state.lam / hp.mu
+    on = ops.project(psi_n, mask)
+    return (psi_n - on) + ops.scale_to_ball(on, hp.delta)
 
 
 def update_pq_classical(state: AdmmState, hp: AdmmHyperParams, prox_mode: str = "identity"):
@@ -159,9 +172,8 @@ def update_pq_classical(state: AdmmState, hp: AdmmHyperParams, prox_mode: str = 
     raise InvalidArgumentError(f"prox_mode must be 'identity' or 'none', got {prox_mode!r}")
 
 
-def update_multipliers(state: AdmmState, d, mask, hp: AdmmHyperParams) -> AdmmState:
+def update_multipliers(state: AdmmState, pd, hp: AdmmHyperParams) -> AdmmState:
     """Dual ascent on every constraint at the current penalties."""
-    pd = project(d, mask)
     return replace(
         state,
         lam=state.lam + hp.mu * (pd - state.x - state.e - state.n),
@@ -169,6 +181,20 @@ def update_multipliers(state: AdmmState, d, mask, hp: AdmmHyperParams) -> AdmmSt
         phi=state.phi + hp.beta * (state.e - state.q),
         y=[yi + hp.rho * (state.x - mi) for yi, mi in zip(state.y, state.m)],
     )
+
+
+def block_step(state: AdmmState, pd, mask: ObservationMask, hp, pq_step, ops) -> AdmmState:
+    """One iteration: M, X, E and N in place, then P/Q, then the multipliers.
+
+    hp carries alpha, rho, mu, theta, beta, lam and delta (floats, or Nodes
+    for the learned scalars); pq_step(state, hp) returns the new (p, q).
+    """
+    state.m = update_m_i(state, hp, ops)
+    state.x = update_x(state, psi_x(state, pd, hp), hp)
+    state.e = update_e(state, pd, hp, ops)
+    state.n = update_n(state, pd, mask, hp, ops)
+    state.p, state.q = pq_step(state, hp)
+    return update_multipliers(state, pd, hp)
 
 
 def primal_residual(state: AdmmState, d, mask) -> float:
@@ -202,6 +228,8 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     if mask.count == 0:
         raise InvalidArgumentError("mask selects no observed cells")
     hp = (hp if hp is not None else AdmmHyperParams()).resolved(d.shape)
+    ops = numpy_ops()
+    pd = project(d, mask)
     state = AdmmState.initial(d, mask)
     mu, theta, beta = hp.mu, hp.theta, hp.beta
     history = []
@@ -209,18 +237,14 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     converged = False
     for it in range(hp.max_iters):
         hpk = replace(hp, mu=mu, theta=theta, beta=beta)
-        state.m = update_m_i(state, hpk)
-        state.x = update_x(state, psi_x(state, d, mask, hpk), hpk)
-        state.e = update_e(state, d, mask, hpk)
-        state.n = update_n(state, d, mask, hpk)
+        state = block_step(state, pd, mask, hpk,
+                           lambda st, h: update_pq_classical(st, h, prox_mode), ops)
         if check_contracts:
             ball = fro_norm(project(state.n, mask))
             if not ball <= hpk.delta + 1e-12:
                 raise AssertionError(
                     f"noise ball violated at iteration {it}: {ball!r} > {hpk.delta!r} + 1e-12"
                 )
-        state.p, state.q = update_pq_classical(state, hpk, prox_mode)
-        state = update_multipliers(state, d, mask, hpk)
         state.iteration = it + 1
         state.primal_residual = primal_residual(state, d, mask)
         history.append(state.primal_residual)
@@ -248,24 +272,19 @@ def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: flo
     d = as_tensor(d)
     if mask.count == 0:
         raise InvalidArgumentError("mask selects no observed cells")
-    if len(alpha) != 3 or any(a <= 0 for a in alpha) or abs(sum(alpha) - 1.0) > 1e-12:
-        raise InvalidArgumentError(f"alpha must be three positive weights summing to 1, got {alpha}")
-    if not rho > 0:
-        raise InvalidArgumentError(f"rho must be positive, got {rho}")
+    hp = AdmmHyperParams(alpha=alpha, rho=rho, max_iters=max_iters, tol=tol)
+    ops = numpy_ops()
     pd = project(d, mask)
-    x = pd.copy()
-    y = [np.zeros_like(d) for _ in MODES]
+    # the M-step reads only x and y
+    state = SimpleNamespace(x=pd.copy(), y=[np.zeros_like(d) for _ in MODES])
     on = mask.sampled[:, :, None]
     for _ in range(max_iters):
-        ms = [
-            fold(svt(unfold(x, mode) + unfold(y[i], mode) / rho, alpha[i] / rho), mode, d.shape)
-            for i, mode in enumerate(MODES)
-        ]
-        x_new = sum(mi - yi / rho for mi, yi in zip(ms, y)) / 3.0
+        ms = update_m_i(state, hp, ops)
+        x_new = sum(mi - yi / rho for mi, yi in zip(ms, state.y)) / 3.0
         x_new = np.where(on, pd, x_new)
-        y = [yi + rho * (x_new - mi) for yi, mi in zip(y, ms)]
-        rel = fro_norm(x_new - x) / max(fro_norm(x_new), 1e-12)
-        x = x_new
+        state.y = [yi + rho * (x_new - mi) for yi, mi in zip(state.y, ms)]
+        rel = fro_norm(x_new - state.x) / max(fro_norm(x_new), 1e-12)
+        state.x = x_new
         if rel < tol:
             break
-    return x
+    return state.x

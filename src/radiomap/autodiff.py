@@ -6,6 +6,12 @@ operators, unfold/fold, masked projection, the noise-ball rescaling, and the
 two training losses. Anything else is a deliberate build-time error; there is
 no general broadcasting.
 
+The shrinkage, projection and structure ops take their forward values from
+the numpy kernels in `shrinkage` and `tensors` and add only the backward
+pass. Node supports + - * /, with * and / defined only for a 0-d scalar
+factor or divisor (smul and recip), so update formulas written with
+operators run on ndarrays and Nodes alike.
+
 Gradients accumulate into Node.grad during backward(). Graph construction can
 be switched off with no_grad(), which shares the forward kernels but records
 nothing, so inference costs no graph memory.
@@ -19,9 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .shrinkage import _svd
+from .shrinkage import _check_tau, _shrink, _svd
+from .shrinkage import scale_to_ball as _scale_to_ball
 from .tensors import ObservationMask
 from .tensors import fold as _fold
+from .tensors import project as _project
 from .tensors import unfold as _unfold
 
 _grad_enabled = True
@@ -43,6 +51,9 @@ class Node:
     """One value in the computation graph. Leaves are created directly."""
 
     __slots__ = ("value", "grad", "parents", "_backward")
+    # an ndarray on the left of an operator defers to the reflected method
+    # below instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -60,6 +71,27 @@ class Node:
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __rsub__(self, other):
+        return sub(other, self)
+
+    def __mul__(self, other):
+        return _mul(self, other)
+
+    def __rmul__(self, other):
+        return _mul(other, self)
+
+    def __truediv__(self, other):
+        return smul(recip(other), self)
 
 
 def as_node(x) -> Node:
@@ -159,6 +191,11 @@ def smul(s, t) -> Node:
     return Node(s.value * t.value, (s, t), bw)
 
 
+def _mul(a, b) -> Node:
+    a, b = as_node(a), as_node(b)
+    return smul(b, a) if b.value.ndim == 0 else smul(a, b)
+
+
 def recip(s) -> Node:
     s = as_node(s)
     _scalar(s, "recip")
@@ -255,19 +292,15 @@ def soft_threshold(x, tau) -> Node:
     """Elementwise shrink by a (possibly learnable) nonnegative scalar."""
     x, tau = as_node(x), as_node(tau)
     _scalar(tau, "soft_threshold")
-    t = float(tau.value)
-    if not np.isfinite(t) or t < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {t}")
-    sgn = np.sign(x.value)
-    mag = np.abs(x.value) - t
-    active = mag > 0.0
+    t = _check_tau(tau.value)
+    active = np.abs(x.value) > t
 
     def bw(g):
         # subgradient 0 exactly at the kink
         _acc(x, np.where(active, g, 0.0))
-        _acc(tau, np.asarray(-np.sum(g * sgn * active)))
+        _acc(tau, np.asarray(-np.sum(g * np.sign(x.value) * active)))
 
-    return Node(np.where(active, sgn * mag, 0.0), (x, tau), bw)
+    return Node(_shrink(x.value, t), (x, tau), bw)
 
 
 def svt(m, tau) -> Node:
@@ -281,9 +314,7 @@ def svt(m, tau) -> Node:
     _scalar(tau, "svt")
     if m.value.ndim != 2:
         raise InvalidArgumentError(f"svt expects a matrix, got shape {m.value.shape}")
-    t = float(tau.value)
-    if not np.isfinite(t) or t < 0:
-        raise InvalidArgumentError(f"threshold must be finite and >= 0, got {t}")
+    t = _check_tau(tau.value)
     u, s, vt = _svd(m.value)
     keep = s > t
     shrunk = np.where(keep, s - t, 0.0)
@@ -325,17 +356,12 @@ def fold(m, mode: int, shape) -> Node:
 
 def project(t, mask: ObservationMask, complement: bool = False) -> Node:
     t = as_node(t)
-    sel = ~mask.sampled if complement else mask.sampled
-    if t.value.ndim != 3 or t.value.shape[:2] != sel.shape:
-        raise InvalidArgumentError(
-            f"project expects (h,w,k) matching the {sel.shape} mask, got {t.value.shape}"
-        )
-    sel3 = sel[:, :, None]
+    out = _project(t.value, mask, complement)
 
     def bw(g):
-        _acc(t, np.where(sel3, g, 0.0))
+        _acc(t, _project(g, mask, complement))
 
-    return Node(np.where(sel3, t.value, 0.0), (t,), bw)
+    return Node(out, (t,), bw)
 
 
 def scale_to_ball(x, radius) -> Node:
@@ -349,12 +375,13 @@ def scale_to_ball(x, radius) -> Node:
     r = float(radius.value)
     if not np.isfinite(r) or r < 0:
         raise InvalidArgumentError(f"radius must be finite and >= 0, got {r}")
-    nrm = float(np.linalg.norm(x.value))
+    out = _scale_to_ball(x.value, r)
+    nrm = float(np.linalg.norm(x.value.ravel()))
     if nrm <= r:
         def bw(g):
             _acc(x, g)
 
-        return Node(x.value.copy(), (x, radius), bw)
+        return Node(out, (x, radius), bw)
     scale = r / nrm
     xv = x.value
 
@@ -363,7 +390,7 @@ def scale_to_ball(x, radius) -> Node:
         _acc(x, scale * (g - xv * (dot / (nrm * nrm))))
         _acc(radius, np.asarray(dot / nrm))
 
-    return Node(scale * xv, (x, radius), bw)
+    return Node(out, (x, radius), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,6 @@ KEYS = {
     "rbf.shape": _float,
     "ldpl.d0": _float,
     "train.epochs": _int,
-    "train.batch_size": _int,
     "train.lr": _float,
     "train.seed": _int,
     "train.val_split": _float,
@@ -185,7 +184,10 @@ def admm_params(cfg: Config) -> AdmmHyperParams:
 
 
 def halrtc_kwargs(cfg: Config) -> dict:
-    return cfg.section("halrtc")
+    """Keyword arguments for solve_halrtc, checked as AdmmHyperParams checks them."""
+    kw = cfg.section("halrtc")
+    _rebuild("halrtc", lambda: AdmmHyperParams(**kw))
+    return kw
 
 
 def train_config(cfg: Config) -> TrainConfig:

@@ -2,7 +2,11 @@
 
 svt(m, tau) solves   argmin_Z  tau*||Z||_* + 0.5*||Z - m||_F^2
 soft_threshold(t, tau) solves the same problem with the l1 norm, which
-decouples into independent scalar problems.
+decouples into independent scalar problems; scale_to_ball(x, r) is the
+projection onto the Frobenius ball of radius r.
+
+The autodiff ops of the same names take their forward values (for svt,
+the SVD) from here and add only the backward pass.
 """
 
 import numpy as np
@@ -53,7 +57,19 @@ def soft_threshold(t: np.ndarray, tau) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise InvalidArgumentError("soft_threshold input contains non-finite values")
+    return _shrink(t, tau)
+
+
+def _shrink(t: np.ndarray, tau: float) -> np.ndarray:
+    # unchecked kernel: a diverging unrolled network must reach its own
+    # non-finite check instead of failing here as a bad argument
     return np.sign(t) * np.maximum(np.abs(t) - tau, 0.0)
+
+
+def scale_to_ball(x: np.ndarray, radius) -> np.ndarray:
+    """Rescale x onto the Frobenius ball of the given radius if it lies outside."""
+    r = float(np.linalg.norm(x.ravel()))
+    return (1.0 if r == 0.0 else min(radius / r, 1.0)) * x
 
 
 def numerical_rank(m: np.ndarray, rel_tol: float = 1e-12) -> int:

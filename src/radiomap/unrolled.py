@@ -1,24 +1,27 @@
 """Deep-unrolled completion network.
 
-K blocks replay one ADMM iteration each: closed-form X/E/N updates with the
-same algebra as the classical solver, but the P/Q proximal steps are replaced
-by small learned convolutional mappers and the five per-block scalars
-(mu, theta, beta, lambda, delta) are trainable. Positivity is enforced by
-storing logs and decoding through exp inside the graph, so gradients flow
-through the decode. alpha and rho stay fixed.
+Each of the K blocks runs admm.block_step, the classical solver's iteration,
+on autodiff Nodes: the closed-form M/X/E/N and multiplier updates are shared
+code, the P/Q proximal steps apply small learned convolutional mappers to the
+classical P/Q values, and the five per-block scalars (mu, theta, beta,
+lambda, delta) are trainable. Positivity is enforced by storing logs and
+decoding through exp inside the graph, so gradients flow through the decode.
+alpha and rho stay fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import admm
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalFailureError
 from .propagation import ldpl_interpolate
-from .tensors import ObservationMask, as_tensor
+from .tensors import ObservationMask, as_tensor, project
 
 _SCALAR_NAMES = ("log_mu", "log_theta", "log_beta", "log_lambda", "log_delta")
 
@@ -51,7 +54,6 @@ class MapperSpec:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 1
     lr: float = 1e-3
     seed: int = 0
     val_split: float = 0.2
@@ -59,8 +61,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidArgumentError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size != 1:
-            raise InvalidArgumentError("only batch size 1 is supported")
         if not 0.0 < self.val_split < 1.0:
             raise InvalidArgumentError(f"val_split must be in (0, 1), got {self.val_split}")
         if not np.isfinite(self.lr) or self.lr < 0:
@@ -172,7 +172,24 @@ def _apply_mapper(layers, spec: MapperSpec, x: ad.Node) -> ad.Node:
         y = ad.bias_add(ad.conv2d(y, wn), bn)
         if i < len(layers) - 1:
             y = ad.relu(y)
-    return ad.add(x, y) if spec.residual else y
+    return x + y if spec.residual else y
+
+
+def _block_hp(model: UnrolledModel, blk: BlockParams) -> SimpleNamespace:
+    """The block's decoded scalars plus the fixed alpha and rho, under the
+    names admm.block_step reads."""
+    mu, theta, beta, lam, delta = (ad.exp(s) for s in blk.scalar_nodes())
+    return SimpleNamespace(alpha=model.alpha, rho=model.rho, mu=mu, theta=theta,
+                           beta=beta, lam=lam, delta=delta)
+
+
+def _learned_pq(model: UnrolledModel, blk: BlockParams):
+    """P/Q step of one block: its mappers applied to the classical P/Q values."""
+    def pq_step(state, hp):
+        p, q = admm.update_pq_classical(state, hp)
+        return (_apply_mapper(blk.v_layers, model.mapper_spec, p),
+                _apply_mapper(blk.w_layers, model.mapper_spec, q))
+    return pq_step
 
 
 def forward(model: UnrolledModel, d, mask: ObservationMask):
@@ -185,70 +202,19 @@ def forward(model: UnrolledModel, d, mask: ObservationMask):
         raise InvalidArgumentError(f"mask dims {mask.sampled.shape} do not match tensor {d.shape[:2]}")
     if mask.count == 0:
         raise InvalidArgumentError("mask selects no observed cells")
-    shape = d.shape
     on = mask.sampled[:, :, None]
-    pd = ad.Node(np.where(on, d, 0.0))
-    zero = np.zeros(shape)
-    x = ad.Node(pd.value.copy())
-    e = ad.Node(zero.copy())
-    n = ad.Node(zero.copy())
-    p = ad.Node(zero.copy())
-    q = ad.Node(zero.copy())
-    lam = ad.Node(zero.copy())
-    gam = ad.Node(zero.copy())
-    phi = ad.Node(zero.copy())
-    y = [ad.Node(zero.copy()) for _ in range(3)]
-    rho = model.rho
-    c_rho = ad.Node(np.asarray(rho))
-    c_inv_rho = ad.Node(np.asarray(1.0 / rho))
+    pd = ad.Node(project(d, mask))
+    state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
     residuals = []
     for k, blk in enumerate(model.blocks):
-        mu = ad.exp(blk.log_mu)
-        theta = ad.exp(blk.log_theta)
-        beta = ad.exp(blk.log_beta)
-        lam_w = ad.exp(blk.log_lambda)
-        delta = ad.exp(blk.log_delta)
-        # M_i = fold(svt(X_(i) + Y_i_(i)/rho, alpha_i/rho)); alpha, rho fixed
-        m = []
-        for i in range(3):
-            shifted = ad.add(x, ad.smul(c_inv_rho, y[i]))
-            m.append(ad.fold(ad.svt(ad.unfold(shifted, i + 1), np.asarray(model.alpha[i] / rho)),
-                             i + 1, shape))
-        # X = [rho*sum(M_i) - sum(Y_i) + (Lam + mu(P(D)-E-N) + theta*P - Gam)] / (3rho+mu+theta)
-        psi_num = ad.add(ad.sub(ad.add(lam, ad.smul(mu, ad.sub(ad.sub(pd, e), n))), gam),
-                         ad.smul(theta, p))
-        msum = ad.add(ad.add(m[0], m[1]), m[2])
-        ysum = ad.add(ad.add(y[0], y[1]), y[2])
-        numer = ad.add(ad.sub(ad.smul(c_rho, msum), ysum), psi_num)
-        x_new = ad.smul(ad.recip(ad.add(ad.Node(np.asarray(3.0 * rho)), ad.add(mu, theta))), numer)
-        if not np.all(np.isfinite(x_new.value)):
+        state = admm.block_step(state, pd, mask, _block_hp(model, blk),
+                                _learned_pq(model, blk), ad)
+        if not np.all(np.isfinite(state.x.value)):
             raise NumericalFailureError(
                 f"block {k} produced non-finite X; scalars {blk.decoded_scalars()}")
-        # E = soft(Psi_E, lambda/(mu+beta))
-        inv_mb = ad.recip(ad.add(mu, beta))
-        psi_e = ad.smul(inv_mb, ad.add(ad.sub(ad.add(lam, ad.smul(mu, ad.sub(ad.sub(pd, x_new), n))),
-                                              phi),
-                                       ad.smul(beta, q)))
-        e_new = ad.soft_threshold(psi_e, ad.smul(inv_mb, lam_w))
-        # N = off-mask part of Psi_N plus the on-mask part shrunk into the delta ball
-        psi_n = ad.add(ad.sub(ad.sub(pd, x_new), e_new), ad.smul(ad.recip(mu), lam))
-        n_new = ad.add(ad.project(psi_n, mask, complement=True),
-                       ad.scale_to_ball(ad.project(psi_n, mask), delta))
-        # learned proximal steps stand in for the closed-form P/Q updates
-        p_new = _apply_mapper(blk.v_layers, model.mapper_spec,
-                              ad.add(x_new, ad.smul(ad.recip(theta), gam)))
-        q_new = _apply_mapper(blk.w_layers, model.mapper_spec,
-                              ad.add(e_new, ad.smul(ad.recip(beta), phi)))
-        fit = ad.sub(ad.sub(ad.sub(pd, x_new), e_new), n_new)
-        lam = ad.add(lam, ad.smul(mu, fit))
-        gam = ad.add(gam, ad.smul(theta, ad.sub(x_new, p_new)))
-        phi = ad.add(phi, ad.smul(beta, ad.sub(e_new, q_new)))
-        y = [ad.add(y[i], ad.smul(c_rho, ad.sub(x_new, m[i]))) for i in range(3)]
-        x, e, n, p, q = x_new, e_new, n_new, p_new, q_new
         residuals.append(float(np.linalg.norm(
-            np.where(on, x.value + e.value + n.value - d, 0.0))))
-    d_hat = ad.add(x, e)
-    return x, e, d_hat, residuals
+            np.where(on, state.x.value + state.e.value + state.n.value - d, 0.0))))
+    return state.x, state.e, state.x + state.e, residuals
 
 
 def loss(d_hat, ground_truth, ldpl_map, omega: float) -> ad.Node:
@@ -257,7 +223,7 @@ def loss(d_hat, ground_truth, ldpl_map, omega: float) -> ad.Node:
         raise InvalidArgumentError(f"omega must be in [0, 1], got {omega}")
     recon = ad.l1_loss(d_hat, ground_truth)
     phy = ad.mse_loss(d_hat, ldpl_map)
-    return ad.add(ad.smul(np.asarray(omega), recon), ad.smul(np.asarray(1.0 - omega), phy))
+    return omega * recon + (1.0 - omega) * phy
 
 
 def infer(model: UnrolledModel, d, mask: ObservationMask) -> np.ndarray:

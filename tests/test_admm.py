@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from radiomap.admm import (AdmmHyperParams, AdmmState, primal_residual, psi_x,
-                           solve_admm, solve_halrtc, update_e, update_m_i,
+from radiomap.admm import (AdmmHyperParams, AdmmState, numpy_ops, primal_residual,
+                           psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical,
                            update_x)
 from radiomap.errors import InvalidArgumentError
 from radiomap.propagation import sample_mask
-from radiomap.shrinkage import svt
 from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, project, unfold
 
 
@@ -18,6 +17,9 @@ def random_state(rng, dims=(6, 5, 3)):
     st = AdmmState(x=t(), e=t(), n=t(), p=t(), q=t(), lam=t(), gam=t(), phi=t(),
                    m=[t() for _ in MODES], y=[t() for _ in MODES])
     return st
+
+
+OPS = numpy_ops()
 
 
 def random_inputs(rng, dims=(6, 5, 3)):
@@ -35,7 +37,7 @@ def test_psi_x_zero_state_formula(rng):
     st = AdmmState.initial(d, mask)
     st.x = np.zeros_like(d)
     expect = hp.mu * project(d, mask) / (hp.mu + hp.theta)
-    assert np.allclose(psi_x(st, d, mask, hp), expect, atol=1e-14)
+    assert np.allclose(psi_x(st, project(d, mask), hp), expect, atol=1e-14)
 
 
 def test_psi_x_unit_penalties(rng):
@@ -43,7 +45,7 @@ def test_psi_x_unit_penalties(rng):
     hp = AdmmHyperParams(mu=1.0, theta=1.0)
     st = AdmmState.initial(d, mask)
     st.x = np.zeros_like(d)
-    assert np.allclose(psi_x(st, d, mask, hp), project(d, mask) / 2.0, atol=1e-14)
+    assert np.allclose(psi_x(st, project(d, mask), hp), project(d, mask) / 2.0, atol=1e-14)
 
 
 def test_psi_x_matches_direct_recomputation(rng):
@@ -51,7 +53,7 @@ def test_psi_x_matches_direct_recomputation(rng):
     st = random_state(rng)
     oracle = (st.lam + hp.mu * (project(d, mask) - st.e - st.n)
               + hp.theta * st.p - st.gam) / (hp.mu + hp.theta)
-    assert np.allclose(psi_x(st, d, mask, hp), oracle, atol=1e-14)
+    assert np.allclose(psi_x(st, project(d, mask), hp), oracle, atol=1e-14)
 
 
 def test_update_m_zero_state(rng):
@@ -59,7 +61,7 @@ def test_update_m_zero_state(rng):
     st = random_state(rng)
     st.x = np.zeros((6, 5, 3))
     st.y = [np.zeros((6, 5, 3)) for _ in MODES]
-    for mi in update_m_i(st, hp):
+    for mi in update_m_i(st, hp, OPS):
         assert not mi.any()
 
 
@@ -74,7 +76,7 @@ def test_update_m_rank_one_shrinks_top_singular_value(rng):
     hp = AdmmHyperParams(rho=1.0)
     tau = hp.alpha[0] / hp.rho
     assert sigma > 10 * tau
-    m1 = unfold(update_m_i(st, hp)[0], 1)
+    m1 = unfold(update_m_i(st, hp, OPS)[0], 1)
     s = np.linalg.svd(m1, compute_uv=False)
     assert s[0] == pytest.approx(sigma - tau, rel=1e-10)
 
@@ -82,7 +84,7 @@ def test_update_m_rank_one_shrinks_top_singular_value(rng):
 def test_update_m_local_optimality_probe(rng):
     _, _, hp = random_inputs(rng)
     st = random_state(rng)
-    out = update_m_i(st, hp)
+    out = update_m_i(st, hp, OPS)
     for i, mode in enumerate(MODES):
         target = unfold(st.x, mode) + unfold(st.y[i], mode) / hp.rho
         tau = hp.alpha[i] / hp.rho
@@ -132,7 +134,7 @@ def test_update_e_is_thresholded_psi_e(rng):
              + hp.beta * st.q - st.phi) / (hp.mu + hp.beta)
     tau = hp.lam / (hp.mu + hp.beta)
     oracle = np.sign(psi_e) * np.maximum(np.abs(psi_e) - tau, 0.0)
-    assert np.allclose(update_e(st, d, mask, hp), oracle, atol=1e-14)
+    assert np.allclose(update_e(st, project(d, mask), hp, OPS), oracle, atol=1e-14)
 
 
 def test_update_e_zero_lambda_passthrough(rng):
@@ -141,7 +143,7 @@ def test_update_e_zero_lambda_passthrough(rng):
     st = random_state(rng)
     psi_e = (st.lam + hp.mu * (project(d, mask) - st.x - st.n)
              + hp.beta * st.q - st.phi) / (hp.mu + hp.beta)
-    assert np.allclose(update_e(st, d, mask, hp), psi_e, atol=1e-12)
+    assert np.allclose(update_e(st, project(d, mask), hp, OPS), psi_e, atol=1e-12)
 
 
 def test_update_n_inside_ball_untouched(rng):
@@ -150,14 +152,14 @@ def test_update_n_inside_ball_untouched(rng):
     psi_n = project(d, mask) - st.x - st.e + st.lam / 0.7
     big = fro_norm(project(psi_n, mask)) * 2.0
     hp = AdmmHyperParams(mu=0.7, theta=0.3, beta=0.2, rho=0.4, delta=big)
-    assert np.allclose(update_n(st, d, mask, hp), psi_n, atol=1e-12)
+    assert np.allclose(update_n(st, project(d, mask), mask, hp, OPS), psi_n, atol=1e-12)
 
 
 def test_update_n_zero_delta_kills_observed_cells(rng):
     d, mask, hp = random_inputs(rng)
     hp = AdmmHyperParams(mu=hp.mu, theta=hp.theta, beta=hp.beta, rho=hp.rho, delta=0.0)
     st = random_state(rng)
-    n = update_n(st, d, mask, hp)
+    n = update_n(st, project(d, mask), mask, hp, OPS)
     assert fro_norm(project(n, mask)) == 0.0
     psi_n = project(d, mask) - st.x - st.e + st.lam / hp.mu
     off = project(psi_n, mask, complement=True)
@@ -170,7 +172,7 @@ def test_update_n_half_ball_scales_by_half(rng):
     psi_n = project(d, mask) - st.x - st.e + st.lam / 0.7
     r = fro_norm(project(psi_n, mask))
     hp = AdmmHyperParams(mu=0.7, delta=r / 2.0)
-    n = update_n(st, d, mask, hp)
+    n = update_n(st, project(d, mask), mask, hp, OPS)
     assert np.allclose(project(n, mask), 0.5 * project(psi_n, mask), atol=1e-12)
 
 
@@ -199,7 +201,7 @@ def test_identity_prox_zeroes_gamma_after_one_dual_step(rng):
     d, mask, hp = random_inputs(rng)
     st = random_state(rng)
     st.p, st.q = update_pq_classical(st, hp)
-    new = update_multipliers(st, d, mask, hp)
+    new = update_multipliers(st, project(d, mask), hp)
     assert np.allclose(new.gam, 0.0, atol=1e-12)
     assert np.allclose(new.phi, 0.0, atol=1e-12)
 
@@ -207,7 +209,7 @@ def test_identity_prox_zeroes_gamma_after_one_dual_step(rng):
 def test_update_multipliers_matches_direct_recomputation(rng):
     d, mask, hp = random_inputs(rng)
     st = random_state(rng)
-    new = update_multipliers(st, d, mask, hp)
+    new = update_multipliers(st, project(d, mask), hp)
     pd = project(d, mask)
     assert np.allclose(new.lam, st.lam + hp.mu * (pd - st.x - st.e - st.n), atol=1e-14)
     assert np.allclose(new.gam, st.gam + hp.theta * (st.x - st.p), atol=1e-14)
@@ -224,7 +226,7 @@ def test_update_multipliers_fixed_when_constraints_met(rng):
     st.p = st.x.copy()
     st.q = st.e.copy()
     st.m = [st.x.copy() for _ in MODES]
-    new = update_multipliers(st, d, mask, hp)
+    new = update_multipliers(st, project(d, mask), hp)
     assert np.allclose(new.lam, st.lam, atol=1e-12)
     assert np.allclose(new.gam, st.gam, atol=1e-12)
     for yi, yo in zip(st.y, new.y):
@@ -366,8 +368,9 @@ def test_solver_input_validation(rng):
         solve_halrtc(d, ObservationMask(np.zeros((8, 8), dtype=bool)))
     with pytest.raises(InvalidArgumentError):
         solve_halrtc(d, ObservationMask.full(8, 8), alpha=(0.2, 0.2, 0.2))
-    with pytest.raises(InvalidArgumentError):
-        solve_halrtc(d, ObservationMask.full(8, 8), rho=0.0)
+    for bad_kw in ({"rho": 0.0}, {"max_iters": 0}, {"tol": -1.0}, {"tol": 0.0}):
+        with pytest.raises(InvalidArgumentError):
+            solve_halrtc(d, ObservationMask.full(8, 8), **bad_kw)
     bad = d.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(InvalidArgumentError):

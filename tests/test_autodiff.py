@@ -41,6 +41,43 @@ def test_grad_recip_exp():
     fd_check(lambda s: ad.recip(ad.exp(s)), [np.asarray(-0.4)])
 
 
+def test_operators_match_explicit_ops(rng):
+    a = rng.normal(size=DIMS)
+    b = rng.normal(size=DIMS)
+    s = np.asarray(0.7)
+    red = loss_against(rng.normal(size=DIMS))
+
+    def with_ops(x, y, k):
+        t = ad.sub(ad.add(x, ad.smul(k, y)), ad.smul(ad.recip(ad.add(k, k)), x))
+        return ad.sub(t, ad.smul(ad.recip(k), y))
+
+    def with_operators(x, y, k):
+        return x + k * y - x / (k + k) - y / k
+
+    fd_check(lambda x, y, k: red(with_operators(x, y, k)), [a, b, s])
+    nodes = [ad.Node(v) for v in (a, b, s)]
+    assert np.array_equal(with_operators(*nodes).value, with_ops(*nodes).value)
+    # a plain number becomes a constant leaf; the scalar may sit on either side
+    x = ad.Node(a)
+    assert np.array_equal((x * 2.0).value, (2.0 * x).value)
+    assert np.array_equal((x / 4.0).value, a * 0.25)
+    with pytest.raises(InvalidArgumentError):
+        x * ad.Node(b)
+    with pytest.raises(InvalidArgumentError):
+        x / ad.Node(b)
+
+
+def test_ndarray_with_node_gives_node(rng):
+    a = rng.normal(size=DIMS)
+    n = ad.Node(rng.normal(size=DIMS))
+    s = ad.Node(np.asarray(0.5))
+    for out, expect in ((a + n, a + n.value), (a - n, a - n.value),
+                        (np.asarray(3.0) * n, 3.0 * n.value), (np.float64(3.0) * n, 3.0 * n.value),
+                        (a * s, a * 0.5), (1.0 - s, np.asarray(0.5))):
+        assert isinstance(out, ad.Node)
+        assert np.array_equal(out.value, expect)
+
+
 def test_grad_reused_node_accumulates(rng):
     a = rng.normal(size=DIMS)
     red = loss_against(rng.normal(size=DIMS))
@@ -117,11 +154,19 @@ def test_svt_grad_error_reported_not_asserted(rng):
     assert np.isfinite(worst)
 
 
-def test_svt_forward_matches_shrinkage(rng):
-    from radiomap.shrinkage import svt as svt_ref
+def test_forward_matches_shrinkage_kernels(rng):
+    from radiomap import shrinkage
     m = rng.normal(size=(6, 4))
     out = ad.svt(ad.Node(m), ad.Node(np.asarray(0.5)))
-    assert np.allclose(out.value, svt_ref(m, 0.5), atol=1e-12)
+    assert np.allclose(out.value, shrinkage.svt(m, 0.5), atol=1e-12)
+    x = rng.normal(size=DIMS)
+    on = float(np.linalg.norm(x.ravel()))
+    for radius in (2.0 * on, on, 0.5 * on, 0.0):  # inside, on, outside, collapsed
+        out = ad.scale_to_ball(ad.Node(x), ad.Node(np.asarray(radius)))
+        assert np.array_equal(out.value, shrinkage.scale_to_ball(x, radius))
+    assert np.array_equal(shrinkage.scale_to_ball(x, on), x)
+    assert np.allclose(shrinkage.scale_to_ball(x, 0.5 * on), 0.5 * x, atol=1e-15)
+    assert not shrinkage.scale_to_ball(np.zeros(DIMS), 0.0).any()
 
 
 # ---------------------------------------------------------------------------

@@ -213,10 +213,14 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                "--config", bad, "--out", tmp_path / "x.rmt") == 5
     assert capsys.readouterr().err.startswith("config-error:")
 
-    domain = tmp_path / "domain.cfg"
-    domain.write_text("admm.mu=-3\n")
-    assert run("solve", "--method", "admm", "--tensor", t, "--mask", m,
-               "--config", domain, "--out", tmp_path / "x.rmt") == 5
+    for method, line in (("admm", "admm.mu=-3"), ("halrtc", "halrtc.rho=0"),
+                         ("halrtc", "halrtc.max_iters=0"), ("halrtc", "halrtc.tol=-1"),
+                         ("halrtc", "halrtc.alpha=0.2,0.2,0.2")):
+        domain = tmp_path / "domain.cfg"
+        domain.write_text(line + "\n")
+        assert run("solve", "--method", method, "--tensor", t, "--mask", m,
+                   "--config", domain, "--out", tmp_path / "x.rmt") == 5, line
+        assert not (tmp_path / "x.rmt").exists()
 
 
 def test_sweep_unroll_without_model_is_invalid(tmp_path, capsys):

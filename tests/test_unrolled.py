@@ -256,8 +256,6 @@ def test_train_config_validation():
     with pytest.raises(InvalidArgumentError):
         TrainConfig(epochs=0)
     with pytest.raises(InvalidArgumentError):
-        TrainConfig(batch_size=2)
-    with pytest.raises(InvalidArgumentError):
         TrainConfig(val_split=0.0)
     with pytest.raises(InvalidArgumentError):
         TrainConfig(lr=-1.0)
