@@ -197,8 +197,8 @@ def block_step(state: AdmmState, pd, mask: ObservationMask, hp, pq_step, ops) ->
     return update_multipliers(state, pd, hp)
 
 
-def primal_residual(state: AdmmState, d, mask) -> float:
-    return fro_norm(project(d, mask) - state.x - state.e - state.n)
+def primal_residual(state: AdmmState, pd) -> float:
+    return fro_norm(pd - state.x - state.e - state.n)
 
 
 @dataclass
@@ -246,7 +246,7 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
                     f"noise ball violated at iteration {it}: {ball!r} > {hpk.delta!r} + 1e-12"
                 )
         state.iteration = it + 1
-        state.primal_residual = primal_residual(state, d, mask)
+        state.primal_residual = primal_residual(state, pd)
         history.append(state.primal_residual)
         if not np.isfinite(state.primal_residual):
             raise NumericalFailureError(
@@ -268,7 +268,14 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
 
 def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: float = 0.1,
                  max_iters: int = 200, tol: float = 1e-5) -> np.ndarray:
-    """Pure low-rank completion baseline; observed cells are pinned to the data."""
+    """Pure low-rank completion baseline; observed cells are pinned to the data.
+
+    Stops when both the relative change of x and the relative constraint gap
+    max_i ||x - m_i||_F / ||x||_F fall below tol (the primal and dual tests of
+    Boyd et al. 2011, sec. 3.3). The change alone is not enough: on sparse
+    inputs the first M-step can zero nearly everything, leaving x where it
+    started while the gap is still large.
+    """
     d = as_tensor(d)
     if mask.count == 0:
         raise InvalidArgumentError("mask selects no observed cells")
@@ -283,8 +290,9 @@ def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: flo
         x_new = sum(mi - yi / rho for mi, yi in zip(ms, state.y)) / 3.0
         x_new = np.where(on, pd, x_new)
         state.y = [yi + rho * (x_new - mi) for yi, mi in zip(state.y, ms)]
-        rel = fro_norm(x_new - state.x) / max(fro_norm(x_new), 1e-12)
+        scale = max(fro_norm(x_new), 1e-12)
+        rel = fro_norm(x_new - state.x) / scale
         state.x = x_new
-        if rel < tol:
+        if rel < tol and max(fro_norm(x_new - mi) for mi in ms) / scale < tol:
             break
     return state.x

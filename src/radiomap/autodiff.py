@@ -315,7 +315,7 @@ def svt(m, tau) -> Node:
     if m.value.ndim != 2:
         raise InvalidArgumentError(f"svt expects a matrix, got shape {m.value.shape}")
     t = _check_tau(tau.value)
-    u, s, vt = _svd(m.value)
+    u, s, vt = _svd(m.value, t)
     keep = s > t
     shrunk = np.where(keep, s - t, 0.0)
 

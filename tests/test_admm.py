@@ -8,7 +8,8 @@ from radiomap.admm import (AdmmHyperParams, AdmmState, numpy_ops, primal_residua
                            update_multipliers, update_n, update_pq_classical,
                            update_x)
 from radiomap.errors import InvalidArgumentError
-from radiomap.propagation import sample_mask
+from radiomap.metrics import psnr
+from radiomap.propagation import SceneSpec, generate_scene, sample_mask
 from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, project, unfold
 
 
@@ -293,7 +294,7 @@ def test_solver_recovers_low_rank_plus_sparse_instance():
     assert len(res.history) <= AdmmHyperParams().max_iters
     # stored residual matches an independent recomputation
     assert res.state.primal_residual == pytest.approx(
-        primal_residual(res.state, truth, mask), abs=1e-10)
+        primal_residual(res.state, project(truth, mask)), abs=1e-10)
 
 
 def test_halrtc_clean_instance_and_robustness_gap():
@@ -303,6 +304,19 @@ def test_halrtc_clean_instance_and_robustness_gap():
     rel_h = fro_norm(solve_halrtc(truth, mask) - truth) / fro_norm(truth)
     rel_a = fro_norm(solve_admm(truth, mask).d_hat - truth) / fro_norm(truth)
     assert rel_h > rel_a
+
+
+def test_halrtc_runs_past_first_iteration_on_sparse_input():
+    # at 5 % sampling the first M-step zeroes nearly everything, so x does not
+    # move and the relative change alone would stop the solve there
+    spec = SceneSpec.random(16, 16, 3, n_transmitters=2, n_obstructions=2,
+                            obstruction_depth=15.0, seed=0)
+    truth = generate_scene(spec).ground_truth
+    mask = sample_mask(16, 16, 5.0, seed=1)
+    one = solve_halrtc(truth, mask, max_iters=1)
+    full = solve_halrtc(truth, mask)
+    assert not np.array_equal(full, one)
+    assert psnr(full, truth) > psnr(one, truth)
 
 
 def test_solver_fully_observed_reproduces_data(rng):

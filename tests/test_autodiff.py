@@ -9,7 +9,7 @@ import pytest
 from gradcheck import fd_check, loss_against
 
 import radiomap.autodiff as ad
-from radiomap.errors import InvalidArgumentError
+from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.tensors import ObservationMask
 
 DIMS = (4, 3, 2)
@@ -169,6 +169,28 @@ def test_forward_matches_shrinkage_kernels(rng):
     assert not shrinkage.scale_to_ball(np.zeros(DIMS), 0.0).any()
 
 
+@pytest.mark.parametrize("shape", [(6, 15), (15, 6), (3, 200)], ids=["wide", "tall", "3xN"])
+@pytest.mark.parametrize("tau", [0.1, 1e-7], ids=["gram", "full-svd"])
+def test_svt_forward_and_backward_match_gesdd_reference(rng, shape, tau):
+    u, _ = np.linalg.qr(rng.normal(size=(shape[0], min(shape))))
+    v, _ = np.linalg.qr(rng.normal(size=(shape[1], min(shape))))
+    m = (u * np.logspace(0, -3, min(shape))) @ v.T
+    c = rng.normal(size=shape)
+    mn, tn = ad.Node(m), ad.Node(np.asarray(tau))
+    out = ad.svt(mn, tn)
+    ad.backward(ad.mse_loss(out, c))
+    # reference: gesdd triplets, gradient through the kept singular values only
+    uf, sf, vtf = np.linalg.svd(m, full_matrices=False)
+    keep = sf > tau
+    assert np.linalg.norm(out.value - (uf * np.maximum(sf - tau, 0.0)) @ vtf) \
+        <= 1e-10 * np.linalg.norm(m)
+    g = 2.0 * (out.value - c) / c.size
+    d = np.einsum("ir,ij,rj->r", uf[:, keep], g, vtf[keep])
+    assert np.linalg.norm(mn.grad - (uf[:, keep] * d) @ vtf[keep]) \
+        <= 1e-10 * np.linalg.norm(g)
+    assert abs(float(tn.grad) + d.sum()) <= 1e-10 * np.linalg.norm(g) * np.sqrt(d.size)
+
+
 # ---------------------------------------------------------------------------
 # structure
 
@@ -305,6 +327,10 @@ def test_op_validation(rng):
         ad.soft_threshold(a, ad.Node(np.asarray(-0.1)))
     with pytest.raises(InvalidArgumentError):
         ad.svt(a, ad.Node(np.asarray(0.1)))
+    for bad in (np.nan, np.inf):
+        for tau in (0.0, 0.1):
+            with pytest.raises(NumericalFailureError):
+                ad.svt(ad.Node(np.full((3, 4), bad)), ad.Node(np.asarray(tau)))
     with pytest.raises(InvalidArgumentError):
         ad.scale_to_ball(a, ad.Node(np.asarray(-1.0)))
     with pytest.raises(InvalidArgumentError):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radiomap import shrinkage
 from radiomap.errors import InvalidArgumentError
-from radiomap.shrinkage import numerical_rank, soft_threshold, svt
+from radiomap.shrinkage import GRAM_MAX_SPREAD, numerical_rank, soft_threshold, svt
 
 
 def grid_search_scalar_prox(v, tau, lo=-6.0, hi=6.0, n=2_000_001):
@@ -113,6 +114,52 @@ def test_svt_preserves_symmetry(rng):
     sym = (a + a.T) / 2
     out = svt(sym, 0.3)
     assert np.allclose(out, out.T, atol=1e-10)
+
+
+def gesdd_svt(m, tau):
+    """Reference: every singular triplet from LAPACK gesdd, shrunk by tau."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
+def with_spectrum(rng, shape, s):
+    """A matrix of the given shape with singular values s."""
+    q1, _ = np.linalg.qr(rng.normal(size=(shape[0], len(s))))
+    q2, _ = np.linalg.qr(rng.normal(size=(shape[1], len(s))))
+    return (q1 * s) @ q2.T
+
+
+# name -> (singular values for rank r, tau, whether the full SVD must run);
+# s_max is 1 except for the zero matrix
+SVT_CASES = {
+    "mid": (lambda r: np.logspace(0, -2, r), 0.1, False),
+    "tau-zero": (lambda r: np.logspace(0, -2, r), 0.0, True),
+    "tau-above-s_max": (lambda r: np.logspace(0, -2, r), 1.5, False),
+    "tau-squared-overflows": (lambda r: np.logspace(0, -2, r), 1e200, True),
+    "zero-matrix": (lambda r: np.zeros(r), 0.1, False),
+    "zero-matrix-tau-zero": (lambda r: np.zeros(r), 0.0, True),
+    "repeated-kept": (lambda r: np.r_[1.0, 1.0, 1.0, np.full(r - 3, 0.25)], 0.5, False),
+    "repeated-all-kept": (lambda r: np.r_[1.0, 1.0, 1.0, np.full(r - 3, 0.25)], 0.1, False),
+    "spread-below-limit": (lambda r: np.logspace(0, -8, r), 2.0 / GRAM_MAX_SPREAD, False),
+    "spread-above-limit": (lambda r: np.logspace(0, -8, r), 0.5 / GRAM_MAX_SPREAD, True),
+}
+
+
+@pytest.mark.parametrize("shape", [(8, 24), (24, 8), (12, 12), (3, 400)],
+                         ids=["wide", "tall", "square", "3xN"])
+@pytest.mark.parametrize("case", list(SVT_CASES))
+def test_svt_matches_gesdd_reference(rng, monkeypatch, shape, case):
+    spectrum, tau, full_svd_runs = SVT_CASES[case]
+    m = with_spectrum(rng, shape, spectrum(min(shape)))
+    calls = []
+    full_svd = shrinkage._full_svd
+    monkeypatch.setattr(shrinkage, "_full_svd", lambda a: calls.append(a) or full_svd(a))
+    got = svt(m, tau)
+    assert np.linalg.norm(got - gesdd_svt(m, tau)) <= 1e-10 * np.linalg.norm(m)
+    assert len(calls) == int(full_svd_runs)
+    u, s, vt = shrinkage._svd(m, tau)
+    assert np.all(s > tau) and np.all(np.diff(s) <= 0)
+    assert u.shape == (shape[0], s.size) and vt.shape == (s.size, shape[1])
 
 
 def test_threshold_validation(rng):
