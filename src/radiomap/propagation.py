@@ -11,10 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 from scipy.ndimage import gaussian_filter
 
 from .errors import InvalidArgumentError
-from .tensors import ObservationMask, project
+from .tensors import ObservationMask, as_tensor, project
 
 # Band scaling of the aggregate loss; keeps cross-band rows affinely related.
 BAND_LOSS_FACTOR = 0.05
@@ -23,6 +25,10 @@ BAND_LOSS_FACTOR = 0.05
 # physical clamp below stays meaningful for data normalized to [0, 1].
 REFERENCE_RANGE = 40.0
 N_EXP_BOUNDS = (1.5, 6.0)
+
+# Largest n_obs x n_obs float64 kernel rbf_interpolate will build; its
+# Cholesky factor takes as much again.
+RBF_MAX_KERNEL_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,8 @@ def ldpl_interpolate(d: np.ndarray, mask: ObservationMask, d0: float = 1.0) -> L
     """
     if not d0 > 0:
         raise InvalidArgumentError(f"d0 must be positive, got {d0}")
-    d = np.asarray(d, dtype=np.float64)
-    obs = project(d, mask)  # validates shapes
+    d = as_tensor(d)
+    project(d, mask)  # validates shapes
     if mask.count < 3:
         raise InvalidArgumentError(f"need at least 3 observed cells, got {mask.count}")
     h, w, k = d.shape
@@ -282,36 +288,49 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
                     shape_param: float | None = None) -> RbfFit:
     """Interpolate with kernel exp(-(r/shape)^2) centered on observed cells.
 
-    The kernel system is shared across bands (one mask).  A nearly
-    singular system gets a 1e-8 ridge and the result is flagged.
-    shape_param defaults to a fixed 3-cell width; tying it to observation
-    density makes reconstruction quality non-monotone in sampling rate.
+    The kernel system is shared across bands (one mask) and solved by one
+    Cholesky factorization.  A system whose factorization fails, or whose
+    LAPACK 1-norm condition estimate exceeds 1e12, gets a 1e-8 ridge and
+    the result is flagged.  The Gaussian kernel is separable, so the kernel
+    and the evaluation on the grid are built from per-row and per-column
+    factors.  More observed cells than RBF_MAX_KERNEL_BYTES allows raise
+    InvalidArgumentError before the kernel is built.  shape_param
+    defaults to a fixed 3-cell width; tying it to observation density makes
+    reconstruction quality non-monotone in sampling rate.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = as_tensor(d)
     project(d, mask)  # shape validation
     n_obs = mask.count
     if n_obs < 1:
         raise InvalidArgumentError("rbf interpolation needs at least one observed cell")
-    h, w, k = d.shape
-    rr, cc = np.nonzero(mask.sampled)
-    pts = np.column_stack([rr, cc]).astype(np.float64)
+    if 8 * n_obs**2 > RBF_MAX_KERNEL_BYTES:
+        raise InvalidArgumentError(
+            f"rbf kernel for {n_obs} observed cells needs {8 * n_obs**2} bytes, "
+            f"over the {RBF_MAX_KERNEL_BYTES}-byte limit")
     if shape_param is None:
         shape_param = 3.0
     if not shape_param > 0:
         raise InvalidArgumentError(f"shape_param must be positive, got {shape_param}")
+    h, w = mask.h, mask.w
+    rr, cc = np.nonzero(mask.sampled)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    kmat = np.exp(-(np.einsum("ijk,ijk->ij", diff, diff)) / shape_param**2)
-    ridged = False
-    if np.linalg.cond(kmat) > 1e12:
-        kmat = kmat + 1e-8 * np.eye(n_obs)
+    # exp(-(dr^2 + dc^2)/s^2) = exp(-dr^2/s^2) * exp(-dc^2/s^2)
+    er = np.exp(-(np.arange(h, dtype=np.float64)[:, None] - rr) ** 2 / shape_param**2)
+    ec = np.exp(-(np.arange(w, dtype=np.float64)[:, None] - cc) ** 2 / shape_param**2)
+    kmat = er[rr] * ec[cc]
+    try:
+        factor = cho_factor(kmat, lower=True, check_finite=False)
+    except LinAlgError:
         ridged = True
-    vals = d[rr, cc, :]  # (n_obs, k)
-    weights = np.linalg.solve(kmat, vals)
+    else:
+        # the entries are positive, so the 1-norm is the largest column sum
+        rcond, _ = dpocon(factor[0], kmat.sum(axis=0).max(), uplo="L")
+        ridged = rcond < 1e-12
+    if ridged:
+        kmat[np.diag_indices(n_obs)] += 1e-8
+        factor = cho_factor(kmat, lower=True, check_finite=False)
+    weights = cho_solve(factor, d[rr, cc, :], check_finite=False)  # (n_obs, k)
 
-    grid_r = np.repeat(np.arange(h, dtype=np.float64), w)
-    grid_c = np.tile(np.arange(w, dtype=np.float64), h)
-    d2 = (grid_r[:, None] - pts[None, :, 0]) ** 2 + (grid_c[:, None] - pts[None, :, 1]) ** 2
-    gmat = np.exp(-d2 / shape_param**2)
-    est = (gmat @ weights).reshape(h, w, k)
-    return RbfFit(values=np.ascontiguousarray(est), ridged=ridged)
+    # est[:, :, b] = er @ diag(weights[:, b]) @ ec.T
+    est = (er * weights.T[:, None, :]) @ ec.T
+    return RbfFit(values=np.ascontiguousarray(est.transpose(1, 2, 0)), ridged=ridged)

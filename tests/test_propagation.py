@@ -1,14 +1,16 @@
 """Path loss model, fits, kernel interpolation, and the scene generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from radiomap.errors import InvalidArgumentError
-from radiomap.propagation import (LdplParams, SceneSpec, generate_scene,
-                                  ldpl_field, ldpl_interpolate, rbf_interpolate,
-                                  sample_mask)
+from radiomap.propagation import (RBF_MAX_KERNEL_BYTES, LdplParams, SceneSpec,
+                                  generate_scene, ldpl_field, ldpl_interpolate,
+                                  rbf_interpolate, sample_mask)
 from radiomap.shrinkage import numerical_rank
 from radiomap.tensors import ObservationMask, unfold
 
@@ -119,6 +121,15 @@ def test_ldpl_interpolate_needs_three_cells(rng):
         ldpl_interpolate(d, ObservationMask(sampled))
 
 
+def test_ldpl_interpolate_rejects_non_finite_data(rng):
+    d = rng.random((8, 8, 1))
+    mask = ObservationMask(np.ones((8, 8), dtype=bool))
+    for bad in (np.nan, np.inf):
+        d[3, 4, 0] = bad
+        with pytest.raises(InvalidArgumentError):
+            ldpl_interpolate(d, mask)
+
+
 # ---------------------------------------------------------------------------
 # rbf_interpolate
 
@@ -153,12 +164,59 @@ def test_rbf_beats_zero_fill_on_smooth_field(rng):
     assert rmse_rbf < rmse_zero
 
 
-def test_rbf_ridge_flag_on_duplicate_scale(rng):
-    # huge shape parameter makes the kernel matrix numerically all-ones
+def _rbf_dense_reference(d, mask, shape_param):
+    """The full squared-distance kernel, an LU solve, then the dense
+    (h*w) x n_obs evaluation matrix."""
+    h, w, k = d.shape
+    rr, cc = np.nonzero(mask.sampled)
+    pts = np.column_stack([rr, cc]).astype(np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    kmat = np.exp(-(np.einsum("ijk,ijk->ij", diff, diff)) / shape_param**2)
+    weights = np.linalg.solve(kmat, d[rr, cc, :])
+    grid_r = np.repeat(np.arange(h, dtype=np.float64), w)
+    grid_c = np.tile(np.arange(w, dtype=np.float64), h)
+    d2 = (grid_r[:, None] - pts[None, :, 0]) ** 2 + (grid_c[:, None] - pts[None, :, 1]) ** 2
+    return (np.exp(-d2 / shape_param**2) @ weights).reshape(h, w, k)
+
+
+@pytest.mark.parametrize("shape_param", [None, 2.0])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("percent", [5.0, 20.0, 50.0])
+@pytest.mark.parametrize("side", [20, 32])
+def test_rbf_matches_dense_reference(side, percent, k, shape_param):
+    # Scenes, not white noise: on noise at 32x32, 50 %, the kernel's cond_2 is
+    # 4e7 and the estimate moves by ~1e-8 under a 1e-16 relative change of the
+    # kernel, so any two stable solvers differ by that much there.
+    spec = SceneSpec.random(side, side, k, n_transmitters=2,
+                            n_obstructions=side * side // 50, seed=side)
+    d = generate_scene(spec).ground_truth
+    mask = sample_mask(side, side, percent, seed=side + int(percent))
+    fit = rbf_interpolate(d, mask, shape_param=shape_param)
+    ref = _rbf_dense_reference(d, mask, 3.0 if shape_param is None else shape_param)
+    assert not fit.ridged
+    assert np.max(np.abs(fit.values - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("shape_param, factor_fails", [
+    # the kernel is numerically all-ones: Cholesky breaks down
+    pytest.param(1e6, True, id="factor-fails"),
+    # Cholesky succeeds, the condition estimate is about 4e14
+    pytest.param(40.0, False, id="estimate-too-high"),
+])
+def test_rbf_ridge_flag_on_duplicate_scale(rng, shape_param, factor_fails):
     d = rng.random((8, 8, 1))
     mask = ObservationMask(rng.random((8, 8)) < 0.4)
-    fit = rbf_interpolate(d, mask, shape_param=1e6)
+    rr, cc = np.nonzero(mask.sampled)
+    kmat = np.exp(-((rr[:, None] - rr) ** 2 + (cc[:, None] - cc) ** 2) / shape_param**2)
+    try:
+        np.linalg.cholesky(kmat)
+        failed = False
+    except np.linalg.LinAlgError:
+        failed = True
+    assert failed == factor_fails
+    fit = rbf_interpolate(d, mask, shape_param=shape_param)
     assert fit.ridged
+    assert np.all(np.isfinite(fit.values))
 
 
 def test_rbf_validation(rng):
@@ -167,6 +225,25 @@ def test_rbf_validation(rng):
         rbf_interpolate(d, ObservationMask(np.zeros((6, 6), dtype=bool)))
     with pytest.raises(InvalidArgumentError):
         rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)), shape_param=0.0)
+    d[2, 3, 0] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)))
+
+
+def test_rbf_kernel_memory_guard():
+    # every cell of 256 x 256 observed: a 34 GB kernel, refused before any
+    # allocation proportional to n_obs^2
+    d = np.zeros((256, 256, 1))
+    mask = ObservationMask(np.ones((256, 256), dtype=bool))
+    assert 8 * mask.count**2 > RBF_MAX_KERNEL_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="limit"):
+            rbf_interpolate(d, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d.nbytes
 
 
 # ---------------------------------------------------------------------------
