@@ -53,9 +53,9 @@ class AdmmHyperParams:
     penalty_cap: float = 1e2
 
     def __post_init__(self):
-        if len(self.alpha) != 3 or any(a <= 0 for a in self.alpha):
+        if len(self.alpha) != 3 or not all(a > 0 for a in self.alpha):
             raise InvalidArgumentError(f"alpha needs three positive weights, got {self.alpha}")
-        if abs(sum(self.alpha) - 1.0) > 1e-12:
+        if not abs(sum(self.alpha) - 1.0) <= 1e-12:
             raise InvalidArgumentError(f"alpha must sum to 1, got sum {sum(self.alpha)!r}")
         if self.lam is not None and not self.lam > 0:
             raise InvalidArgumentError(f"lam must be positive, got {self.lam}")

@@ -19,10 +19,10 @@ import numpy as np
 from . import config as cfgmod
 from . import io as rio
 from .errors import InvalidArgumentError, RadioMapError
-from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, outage_error, psnr,
+from .metrics import (DEFAULT_OUTAGE_THRESHOLD, METHODS, cap_psnr, outage_error, psnr,
                       rmse, standard_methods, sweep)
-from .propagation import SceneSpec, generate_scene, ldpl_interpolate, rbf_interpolate, sample_mask
-from .unrolled import TrainConfig, UnrolledModel, infer, train
+from .propagation import SceneSpec, generate_scene, sample_mask
+from .unrolled import UnrolledModel, train
 
 _CATEGORY = {2: "invalid-argument", 3: "format-error", 4: "numerical-failure", 5: "config-error"}
 
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", required=True, help="mask file to write")
 
     so = sub.add_parser("solve", help="reconstruct a map from masked observations")
-    so.add_argument("--method", required=True, choices=("halrtc", "admm", "rbf", "ldpl", "unroll"))
+    so.add_argument("--method", required=True, choices=METHODS)
     so.add_argument("--tensor", required=True)
     so.add_argument("--mask", required=True)
     so.add_argument("--model", default=None, help="checkpoint for --method unroll")
@@ -115,29 +115,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .admm import solve_admm, solve_halrtc
-
     d, mask = _read_pair(args.tensor, args.mask)
     cfg = cfgmod.load_config(args.config)
-    if args.method == "halrtc":
-        est = solve_halrtc(d, mask, **cfgmod.halrtc_kwargs(cfg))
-    elif args.method == "admm":
-        est = solve_admm(d, mask, cfgmod.admm_params(cfg)).d_hat
-    elif args.method == "rbf":
-        est = rbf_interpolate(d, mask, shape_param=cfg.get("rbf.shape")).values
-    elif args.method == "ldpl":
-        est = ldpl_interpolate(d, mask, d0=cfg.get("ldpl.d0", 1.0)).values
-    else:
+    model = None
+    if args.method == "unroll":
         if args.model is not None:
             model = rio.read_checkpoint(args.model)
         else:
             print("solve: no --model, using an untrained default model")
             model = UnrolledModel.create(h=d.shape[0], w=d.shape[1], k_bands=d.shape[2],
                                          **cfgmod.unroll_kwargs(cfg))
-        if model.k_bands != d.shape[2]:
-            raise InvalidArgumentError(
-                f"model expects {model.k_bands} bands, tensor has {d.shape[2]}")
-        est = infer(model, d, mask)
+    est = standard_methods(model, cfg)[args.method](d, mask)
     rio.write_tensor(args.out, est)
     print(f"solve: {args.method} estimate -> {args.out}")
     return 0
@@ -174,17 +162,20 @@ def _cmd_train(args) -> int:
     tc = cfgmod.train_config(cfg)
     model, history = train(model, dataset, tc)
     rio.write_checkpoint(args.out, model)
-    last_val = history["val"][-1] if history["val"] else float("nan")
+    # history["train"] holds one loss per step; val and best_val one per epoch
+    step_means = np.reshape(history["train"], (tc.epochs, -1)).mean(axis=1)
+    nan = [float("nan")] * tc.epochs
+    val, best = history["val"] or nan, history["best_val"] or nan
+    for ep, row in enumerate(zip(step_means, val, best), start=1):
+        print("epoch %d: train %.6f val %.6f best_val %.6f" % (ep, *row))
     print(f"train: {len(dataset)} pairs, {tc.epochs} epochs, "
-          f"final train loss {history['train'][-1]:.6f}, val loss {last_val:.6f} -> {args.out}")
+          f"final train loss {history['train'][-1]:.6f}, val loss {val[-1]:.6f} -> {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
     est = rio.read_tensor(args.est)
     truth = rio.read_tensor(args.truth)
-    if est.shape != truth.shape:
-        raise InvalidArgumentError(f"shape mismatch: est {est.shape} vs truth {truth.shape}")
     print(f"psnr_db={cap_psnr(psnr(est, truth)):.6f} "
           f"rmse={rmse(est, truth):.8f} "
           f"outage_error={outage_error(est, truth, args.outage_threshold):.8f}")
@@ -204,7 +195,7 @@ def _cmd_sweep(args) -> int:
     model = None
     if cfg.get("sweep.model") is not None:
         model = rio.read_checkpoint(cfg.get("sweep.model"))
-    methods = standard_methods(model)
+    methods = standard_methods(model, cfg)
     wanted = cfg.get("sweep.methods")
     if wanted is not None:
         if "unroll" in wanted and model is None:

@@ -12,9 +12,8 @@ from dataclasses import replace
 
 from .admm import AdmmHyperParams
 from .errors import ConfigError, InvalidArgumentError
+from .metrics import METHODS
 from .unrolled import MapperSpec, TrainConfig
-
-_KNOWN_METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
 
 
 def _float(raw: str) -> float:
@@ -52,8 +51,8 @@ def _alpha3(raw: str) -> tuple:
 def _methods(raw: str) -> tuple:
     names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     for n in names:
-        if n not in _KNOWN_METHODS:
-            raise ValueError(f"unknown method {n!r}, know {'/'.join(_KNOWN_METHODS)}")
+        if n not in METHODS:
+            raise ValueError(f"unknown method {n!r}, know {'/'.join(METHODS)}")
     if not names:
         raise ValueError("empty method list")
     return names
@@ -202,21 +201,13 @@ def scene_kwargs(cfg: Config) -> dict:
 
 
 def mapper_spec(cfg: Config) -> MapperSpec:
-    kw = {}
-    if cfg.get("unroll.hidden_channels") is not None:
-        kw["hidden_channels"] = cfg.get("unroll.hidden_channels")
-    if cfg.get("unroll.kernel") is not None:
-        kw["kernel"] = cfg.get("unroll.kernel")
-    if cfg.get("unroll.residual") is not None:
-        kw["residual"] = cfg.get("unroll.residual")
+    over = cfg.section("unroll")
+    kw = {k: over[k] for k in ("hidden_channels", "kernel", "residual") if k in over}
     return _rebuild("unroll", lambda: MapperSpec(**kw))
 
 
 def unroll_kwargs(cfg: Config) -> dict:
     """Arguments for UnrolledModel.create except the grid dims."""
-    kw = {"mapper": mapper_spec(cfg)}
-    for name in ("k_blocks", "loss_omega", "rho", "alpha", "seed"):
-        v = cfg.get(f"unroll.{name}")
-        if v is not None:
-            kw[name] = v
-    return kw
+    over = cfg.section("unroll")
+    kw = {k: over[k] for k in ("k_blocks", "loss_omega", "rho", "alpha", "seed") if k in over}
+    return {"mapper": mapper_spec(cfg), **kw}

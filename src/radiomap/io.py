@@ -202,8 +202,11 @@ def read_checkpoint(path: str):
     expected_dims = spec.layer_dims(k_bands)
     if [(ci, co) for _, _, ci, co in layer_recs] != expected_dims:
         raise FormatError(f"{path}: inconsistent layer channel chain")
-    model = UnrolledModel.create(k_bands=k_bands, k_blocks=k_blocks, mapper=spec,
-                                 loss_omega=loss_omega, alpha=alpha, rho=rho)
+    try:
+        model = UnrolledModel.create(k_bands=k_bands, k_blocks=k_blocks, mapper=spec,
+                                     loss_omega=loss_omega, alpha=alpha, rho=rho)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"{path}: bad model header: {exc}") from exc
     for blk in model.blocks:
         scalars = c.f64s(5)
         if not np.all(np.isfinite(scalars)):

@@ -88,21 +88,35 @@ def zero_fill(d, mask: ObservationMask) -> np.ndarray:
     return project(as_tensor(d), mask)
 
 
-def standard_methods(model=None) -> dict:
-    """Name -> estimator registry for the CLI and the sweep.
+METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
 
-    Estimators take (d_full, mask) and return a full tensor. `unroll` needs a
-    trained model and appears only when one is supplied.
+
+def standard_methods(model=None, cfg=None) -> dict:
+    """Name -> estimator table for the CLI and the sweep, keyed by METHODS.
+
+    Estimators take (d_full, mask) and return a full tensor, solving with the
+    admm.*, halrtc.*, rbf.* and ldpl.* settings of cfg (None means all
+    defaults); bad solver settings raise ConfigError here, before any solve.
+    `unroll` needs a trained model and appears only when one is supplied.
     """
+    # imported here, not at module level: config imports this module, and
+    # wrappers installed on these module attributes (perfbench/tracing.py)
+    # must be picked up when the table is built
+    from . import config
     from .admm import solve_admm, solve_halrtc
     from .propagation import ldpl_interpolate, rbf_interpolate
 
+    cfg = cfg if cfg is not None else config.Config({})
+    hp = config.admm_params(cfg)
+    halrtc = config.halrtc_kwargs(cfg)
+    shape = cfg.get("rbf.shape")
+    d0 = cfg.get("ldpl.d0", 1.0)
     methods = {
         "zero": zero_fill,
-        "ldpl": lambda d, m: ldpl_interpolate(d, m).values,
-        "rbf": lambda d, m: rbf_interpolate(d, m).values,
-        "halrtc": lambda d, m: solve_halrtc(d, m),
-        "admm": lambda d, m: solve_admm(d, m).d_hat,
+        "ldpl": lambda d, m: ldpl_interpolate(d, m, d0=d0).values,
+        "rbf": lambda d, m: rbf_interpolate(d, m, shape_param=shape).values,
+        "halrtc": lambda d, m: solve_halrtc(d, m, **halrtc),
+        "admm": lambda d, m: solve_admm(d, m, hp).d_hat,
     }
     if model is not None:
         from .unrolled import infer

@@ -109,7 +109,7 @@ class UnrolledModel:
             raise InvalidArgumentError(f"bad dims {h}x{w}x{k_bands}")
         if not 0.0 <= loss_omega <= 1.0:
             raise InvalidArgumentError(f"loss_omega must be in [0, 1], got {loss_omega}")
-        if len(alpha) != 3 or any(a < 0 for a in alpha) or abs(sum(alpha) - 1.0) > 1e-12:
+        if len(alpha) != 3 or not all(a >= 0 for a in alpha) or not abs(sum(alpha) - 1.0) <= 1e-12:
             raise InvalidArgumentError(f"alpha must be three nonneg weights summing to 1, got {alpha}")
         if not rho > 0:
             raise InvalidArgumentError(f"rho must be positive, got {rho}")

@@ -243,6 +243,8 @@ def test_hyperparams_validation():
     with pytest.raises(InvalidArgumentError):
         AdmmHyperParams(alpha=(1.0, -0.5, 0.5))
     with pytest.raises(InvalidArgumentError):
+        AdmmHyperParams(alpha=(float("nan"),) * 3)
+    with pytest.raises(InvalidArgumentError):
         AdmmHyperParams(mu=0.0)
     with pytest.raises(InvalidArgumentError):
         AdmmHyperParams(delta=-1.0)

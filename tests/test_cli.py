@@ -6,7 +6,9 @@ import pytest
 
 from radiomap import io as rio
 from radiomap.cli import main
+from radiomap.metrics import zero_fill
 from radiomap.propagation import sample_mask
+from radiomap.unrolled import UnrolledModel
 
 
 def run(*argv):
@@ -74,6 +76,17 @@ def test_solve_config_override(scene_dir, tmp_path):
                "--mask", mask_path, "--config", cfg, "--out", out) == 0
 
 
+def test_solve_zero_writes_zero_fill(scene_dir, tmp_path):
+    truth_path = scene_dir / "ground_truth.rmt"
+    mask_path = tmp_path / "m.rmm"
+    run("sample", "--tensor", truth_path, "--percent", 20, "--seed", 2, "--out", mask_path)
+    out = tmp_path / "est.rmt"
+    assert run("solve", "--method", "zero", "--tensor", truth_path,
+               "--mask", mask_path, "--out", out) == 0
+    expected = zero_fill(rio.read_tensor(truth_path), rio.read_mask(mask_path))
+    assert np.array_equal(rio.read_tensor(out), expected)
+
+
 def test_solve_unroll_without_model_prints_notice(scene_dir, tmp_path, capsys):
     mask_path = tmp_path / "m.rmm"
     run("sample", "--tensor", scene_dir / "ground_truth.rmt",
@@ -105,7 +118,10 @@ def test_train_solve_with_checkpoint(tmp_path, capsys):
     cfg.write_text("unroll.k_blocks=2\ntrain.epochs=2\ntrain.lr=0.001\ntrain.seed=0\n")
     ckpt = tmp_path / "model.rmu"
     assert run("train", "--dataset", root, "--config", cfg, "--out", ckpt) == 0
-    assert "final train loss" in capsys.readouterr().out
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split(":")[0] for ln in lines[-3:-1]] == ["epoch 1", "epoch 2"]
+    assert all(" train " in ln and " val nan best_val nan" in ln for ln in lines[-3:-1])
+    assert "final train loss" in lines[-1]
     model = rio.read_checkpoint(ckpt)
     assert model.k_blocks == 2 and model.k_bands == 2
 
@@ -126,6 +142,36 @@ def test_sweep_writes_report_csv(tmp_path):
     assert lines[0] == rio.REPORT_HEADER
     assert len(lines) == 1 + 2 * 2 * 2 * 1
     assert {ln.split(",")[0] for ln in lines[1:]} == {"zero", "rbf"}
+
+
+SWEEP_CFG = ("scene.h=16\nscene.w=16\nscene.n_obstructions=3\nsweep.n_scenes=1\n"
+             "sweep.methods=zero,rbf,admm\nsweep.sparsities=20\nsweep.seeds=0\n")
+
+
+def sweep_rows(tmp_path, extra):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + extra)
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", cfg, "--out", out) == 0
+    # every column but the trailing runtime_ms, keyed by method
+    return {ln.split(",")[0]: ln.rsplit(",", 1)[0] for ln in out.read_text().splitlines()[1:]}
+
+
+def test_sweep_applies_solver_sections(tmp_path):
+    plain = sweep_rows(tmp_path, "")
+    tuned = sweep_rows(tmp_path, "admm.max_iters=1\nrbf.shape=1\n")
+    assert tuned["zero"] == plain["zero"]
+    assert tuned["admm"] != plain["admm"]
+    assert tuned["rbf"] != plain["rbf"]
+
+
+def test_sweep_bad_solver_config_exits_5(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + "admm.mu=0\n")
+    out = tmp_path / "report.csv"
+    assert run("sweep", "--config", cfg, "--out", out) == 5
+    assert capsys.readouterr().err.startswith("config-error:")
+    assert not out.exists()
 
 
 def test_export_and_import_round_trip(scene_dir, tmp_path):
@@ -168,6 +214,13 @@ def test_exit_2_on_bad_arguments(tmp_path, capsys):
 
     assert run("solve", "--method", "admm", "--tensor", t, "--mask", m,
                "--out", tmp_path / "x.rmt") == 2  # grid mismatch
+    ckpt = tmp_path / "two_bands.rmu"
+    rio.write_checkpoint(ckpt, UnrolledModel.create(h=8, w=8, k_bands=2, k_blocks=1))
+    m8 = tmp_path / "m8.rmm"
+    rio.write_mask(m8, sample_mask(8, 8, 50.0, seed=0))
+    assert run("solve", "--method", "unroll", "--model", ckpt, "--tensor", t, "--mask", m8,
+               "--out", tmp_path / "x.rmt") == 2  # band mismatch
+    assert "expects 2 bands" in capsys.readouterr().err
     assert run("export", "--tensor", t, "--band", 5, "--format", "pgm",
                "--out", tmp_path / "x.pgm") == 2
     assert run("sample", "--tensor", tmp_path / "missing.rmt", "--percent", 10,
@@ -215,7 +268,10 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
 
     for method, line in (("admm", "admm.mu=-3"), ("halrtc", "halrtc.rho=0"),
                          ("halrtc", "halrtc.max_iters=0"), ("halrtc", "halrtc.tol=-1"),
-                         ("halrtc", "halrtc.alpha=0.2,0.2,0.2")):
+                         ("halrtc", "halrtc.alpha=0.2,0.2,0.2"),
+                         ("admm", "admm.alpha=nan,nan,nan"),
+                         ("halrtc", "halrtc.alpha=nan,nan,nan"),
+                         ("ldpl", "admm.mu=-3"), ("zero", "halrtc.rho=0")):
         domain = tmp_path / "domain.cfg"
         domain.write_text(line + "\n")
         assert run("solve", "--method", method, "--tensor", t, "--mask", m,

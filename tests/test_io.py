@@ -166,6 +166,22 @@ def test_checkpoint_crc_detects_every_single_byte_flip(tmp_path, small_model, rn
     assert detected == 100
 
 
+@pytest.mark.parametrize("offset,value", [
+    (16, float("nan")),   # alpha[0]
+    (40, -1.0),           # rho
+    (48, 2.0),            # loss_omega
+])
+def test_checkpoint_rejects_bad_header_values(tmp_path, small_model, offset, value):
+    path = tmp_path / "m.rmu"
+    rio.write_checkpoint(path, small_model)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="bad model header"):
+        rio.read_checkpoint(path)
+
+
 def test_checkpoint_version_gate(tmp_path, small_model):
     path = tmp_path / "m.rmu"
     rio.write_checkpoint(path, small_model)

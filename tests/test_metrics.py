@@ -7,8 +7,8 @@ import pytest
 
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import (DEFAULT_OUTAGE_THRESHOLD, PSNR_CAP_DB, EvalReport,
-                              cap_psnr, mask_seed, outage_error, psnr, rmse,
-                              standard_methods, sweep, zero_fill)
+                              METHODS, cap_psnr, mask_seed, outage_error, psnr,
+                              rmse, standard_methods, sweep, zero_fill)
 from radiomap.propagation import sample_mask
 from radiomap.tensors import ObservationMask
 
@@ -95,6 +95,7 @@ def test_standard_methods_registry():
     from radiomap.unrolled import UnrolledModel
     model = UnrolledModel.create(h=8, w=8, k_bands=1, k_blocks=1, seed=0)
     assert set(standard_methods(model)) == set(base) | {"unroll"}
+    assert set(METHODS) == set(standard_methods(model))
 
 
 def test_mask_seed_stable_and_distinct():

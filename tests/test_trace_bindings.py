@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from radiomap import admm, unrolled
+from radiomap import admm, metrics, unrolled
+from radiomap.config import parse_config
 from radiomap.propagation import SceneSpec, generate_scene, sample_mask
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -28,11 +29,14 @@ def tracing(monkeypatch):
     return tracing
 
 
-def test_self_check_passes_for_every_solver(tracing):
+def small_instance():
     spec = SceneSpec.random(16, 16, 3, n_transmitters=1, n_obstructions=4,
                             obstruction_depth=10.0, seed=3)
-    d = generate_scene(spec).ground_truth
-    mask = sample_mask(16, 16, 20.0, seed=4)
+    return generate_scene(spec).ground_truth, sample_mask(16, 16, 20.0, seed=4)
+
+
+def test_self_check_passes_for_every_solver(tracing):
+    d, mask = small_instance()
     model = unrolled.UnrolledModel.create(h=16, w=16, k_bands=3, seed=0)
     tracer = tracing.Tracer()
     tracer.install()
@@ -49,3 +53,25 @@ def test_self_check_passes_for_every_solver(tracing):
     assert tracing.self_check(run, expected) == []
     assert run.count["shrinkage.svt"] == 3 * 3 + 3 * 3
     assert run.count["autodiff.svt"] == 3 * tracing.K_BLOCKS
+
+
+def test_tracer_sees_every_estimator_of_the_table(tracing):
+    """`radiomap sweep` and the benchmark call the solvers through
+    metrics.standard_methods, with and without a config."""
+    d, mask = small_instance()
+    cfg = parse_config("admm.max_iters=3\nhalrtc.max_iters=3\n")
+    estimators = ("admm.solve_admm", "admm.solve_halrtc",
+                  "propagation.rbf_interpolate", "propagation.ldpl_interpolate")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runs = []
+        for kwargs in ({}, {"cfg": cfg}):
+            for name, fn in metrics.standard_methods(**kwargs).items():
+                assert np.all(np.isfinite(fn(d, mask))), name
+            runs.append(tracing.Summary(tracer.take()))
+    finally:
+        tracer.uninstall()
+    for run in runs:
+        assert {name: run.count.get(name, 0) for name in estimators} == dict.fromkeys(estimators, 1)
+        assert tracing.self_check(run, {}) == []
