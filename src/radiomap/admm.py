@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .shrinkage import scale_to_ball, soft_threshold, svt
-from .tensors import MODES, ObservationMask, as_tensor, fold, fro_norm, project, unfold
+from .tensors import MODES, ObservationMask, fold, fro_norm, observed, project, unfold
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,6 @@ class AdmmState:
     phi: np.ndarray
     m: list = field(default_factory=list)
     y: list = field(default_factory=list)
-    iteration: int = 0
-    primal_residual: float = 0.0
 
     @classmethod
     def initial(cls, d: np.ndarray, mask: ObservationMask, leaf=lambda a: a) -> "AdmmState":
@@ -224,12 +222,9 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     prox_mode="none" zeroes the P/Q steps, which matches an unrolled block
     whose mappers output zero.
     """
-    d = as_tensor(d)
-    if mask.count == 0:
-        raise InvalidArgumentError("mask selects no observed cells")
+    d, pd = observed(d, mask)
     hp = (hp if hp is not None else AdmmHyperParams()).resolved(d.shape)
     ops = numpy_ops()
-    pd = project(d, mask)
     state = AdmmState.initial(d, mask)
     mu, theta, beta = hp.mu, hp.theta, hp.beta
     history = []
@@ -245,10 +240,8 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
                 raise AssertionError(
                     f"noise ball violated at iteration {it}: {ball!r} > {hpk.delta!r} + 1e-12"
                 )
-        state.iteration = it + 1
-        state.primal_residual = primal_residual(state, pd)
-        history.append(state.primal_residual)
-        if not np.isfinite(state.primal_residual):
+        history.append(primal_residual(state, pd))
+        if not np.isfinite(history[-1]):
             raise NumericalFailureError(
                 f"primal residual became non-finite at iteration {it} "
                 f"(mu={mu:.3e}, theta={theta:.3e}, beta={beta:.3e})"
@@ -276,12 +269,9 @@ def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: flo
     inputs the first M-step can zero nearly everything, leaving x where it
     started while the gap is still large.
     """
-    d = as_tensor(d)
-    if mask.count == 0:
-        raise InvalidArgumentError("mask selects no observed cells")
+    d, pd = observed(d, mask)
     hp = AdmmHyperParams(alpha=alpha, rho=rho, max_iters=max_iters, tol=tol)
     ops = numpy_ops()
-    pd = project(d, mask)
     # the M-step reads only x and y
     state = SimpleNamespace(x=pd.copy(), y=[np.zeros_like(d) for _ in MODES])
     on = mask.sampled[:, :, None]

@@ -335,8 +335,6 @@ def svt(m, tau) -> Node:
 def unfold(t, mode: int) -> Node:
     t = as_node(t)
     shape = t.value.shape
-    if t.value.ndim != 3:
-        raise InvalidArgumentError(f"unfold expects a 3-d tensor, got shape {shape}")
 
     def bw(g):
         _acc(t, _fold(g, mode, shape))
@@ -440,15 +438,15 @@ class AdamState:
     def for_params(cls, params) -> "AdamState":
         return cls(
             step=0,
-            m=[np.zeros_like(p.value if isinstance(p, Node) else p) for p in params],
-            v=[np.zeros_like(p.value if isinstance(p, Node) else p) for p in params],
+            m=[np.zeros_like(p.value) for p in params],
+            v=[np.zeros_like(p.value) for p in params],
         )
 
 
 def adam_step(params, grads, state: AdamState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected Adam update, in place on the parameter arrays."""
-    arrs = [p.value if isinstance(p, Node) else p for p in params]
+    arrs = [p.value for p in params]
     if len(arrs) != len(grads) or len(arrs) != len(state.m):
         raise InvalidArgumentError(
             f"param/grad/state length mismatch: {len(arrs)}/{len(grads)}/{len(state.m)}"

@@ -83,15 +83,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_pair(tensor_path: str, mask_path: str):
-    d = rio.read_tensor(tensor_path)
-    mask = rio.read_mask(mask_path)
-    if mask.sampled.shape != d.shape[:2]:
-        raise InvalidArgumentError(
-            f"mask grid {mask.sampled.shape} does not match tensor grid {d.shape[:2]}")
-    return d, mask
-
-
 def _cmd_gen(args) -> int:
     cfg = cfgmod.load_config(args.spec)
     spec = SceneSpec.random(**cfgmod.scene_kwargs(cfg))
@@ -115,7 +106,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    d, mask = _read_pair(args.tensor, args.mask)
+    # the estimator checks that the mask grid matches the tensor
+    d, mask = rio.read_tensor(args.tensor), rio.read_mask(args.mask)
     cfg = cfgmod.load_config(args.config)
     model = None
     if args.method == "unroll":
@@ -153,7 +145,7 @@ def _dataset_pairs(root: str):
 
 def _cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    dataset = [_read_pair(tp, mp) for tp, mp in _dataset_pairs(args.dataset)]
+    dataset = [(rio.read_tensor(tp), rio.read_mask(mp)) for tp, mp in _dataset_pairs(args.dataset)]
     h, w, k = dataset[0][0].shape
     for d, _ in dataset:
         if d.shape != (h, w, k):

@@ -16,14 +16,6 @@ from .metrics import METHODS
 from .unrolled import MapperSpec, TrainConfig
 
 
-def _float(raw: str) -> float:
-    return float(raw)
-
-
-def _int(raw: str) -> int:
-    return int(raw, 10)
-
-
 def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes", "on"):
@@ -68,52 +60,52 @@ def _path(raw: str) -> str:
 # absent here is a config error no matter how plausible it looks.
 KEYS = {
     "admm.alpha": _alpha3,
-    "admm.lambda": _float,
-    "admm.mu": _float,
-    "admm.theta": _float,
-    "admm.beta": _float,
-    "admm.rho": _float,
-    "admm.delta": _float,
-    "admm.max_iters": _int,
-    "admm.tol": _float,
-    "admm.penalty_growth": _float,
-    "admm.penalty_cap": _float,
+    "admm.lambda": float,
+    "admm.mu": float,
+    "admm.theta": float,
+    "admm.beta": float,
+    "admm.rho": float,
+    "admm.delta": float,
+    "admm.max_iters": int,
+    "admm.tol": float,
+    "admm.penalty_growth": float,
+    "admm.penalty_cap": float,
     "halrtc.alpha": _alpha3,
-    "halrtc.rho": _float,
-    "halrtc.max_iters": _int,
-    "halrtc.tol": _float,
-    "rbf.shape": _float,
-    "ldpl.d0": _float,
-    "train.epochs": _int,
-    "train.lr": _float,
-    "train.seed": _int,
-    "train.val_split": _float,
-    "scene.h": _int,
-    "scene.w": _int,
-    "scene.k_bands": _int,
-    "scene.n_transmitters": _int,
-    "scene.n_obstructions": _int,
-    "scene.obstruction_depth": _float,
-    "scene.seed": _int,
-    "scene.n_exp": _float,
-    "scene.shadow_sigma": _float,
-    "scene.shadow_corr": _float,
-    "scene.d0": _float,
-    "scene.p0": _float,
-    "unroll.k_blocks": _int,
-    "unroll.loss_omega": _float,
-    "unroll.rho": _float,
+    "halrtc.rho": float,
+    "halrtc.max_iters": int,
+    "halrtc.tol": float,
+    "rbf.shape": float,
+    "ldpl.d0": float,
+    "train.epochs": int,
+    "train.lr": float,
+    "train.seed": int,
+    "train.val_split": float,
+    "scene.h": int,
+    "scene.w": int,
+    "scene.k_bands": int,
+    "scene.n_transmitters": int,
+    "scene.n_obstructions": int,
+    "scene.obstruction_depth": float,
+    "scene.seed": int,
+    "scene.n_exp": float,
+    "scene.shadow_sigma": float,
+    "scene.shadow_corr": float,
+    "scene.d0": float,
+    "scene.p0": float,
+    "unroll.k_blocks": int,
+    "unroll.loss_omega": float,
+    "unroll.rho": float,
     "unroll.alpha": _alpha3,
-    "unroll.seed": _int,
+    "unroll.seed": int,
     "unroll.hidden_channels": _ints,
-    "unroll.kernel": _int,
+    "unroll.kernel": int,
     "unroll.residual": _bool,
     "sweep.sparsities": _floats,
     "sweep.seeds": _ints,
-    "sweep.n_scenes": _int,
+    "sweep.n_scenes": int,
     "sweep.methods": _methods,
     "sweep.model": _path,
-    "sweep.outage_threshold": _float,
+    "sweep.outage_threshold": float,
 }
 
 

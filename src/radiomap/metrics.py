@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RadioMapError
+from .errors import ConfigError, InvalidArgumentError, RadioMapError
 from .tensors import ObservationMask, as_tensor, project
 from .propagation import sample_mask
 
@@ -49,11 +49,15 @@ def rmse(est, truth) -> float:
     return float(np.sqrt(np.mean((est - truth) ** 2)))
 
 
+def _check_outage_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise InvalidArgumentError(f"outage threshold must be in (0, 1), got {threshold}")
+
+
 def outage_error(est, truth, threshold: float = DEFAULT_OUTAGE_THRESHOLD) -> float:
     """Fraction of cells whose outage state (value below threshold) disagrees."""
     est, truth = _pair(est, truth)
-    if not 0.0 < threshold < 1.0:
-        raise InvalidArgumentError(f"outage threshold must be in (0, 1), got {threshold}")
+    _check_outage_threshold(threshold)
     return float(np.mean((est < threshold) != (truth < threshold)))
 
 
@@ -111,6 +115,10 @@ def standard_methods(model=None, cfg=None) -> dict:
     halrtc = config.halrtc_kwargs(cfg)
     shape = cfg.get("rbf.shape")
     d0 = cfg.get("ldpl.d0", 1.0)
+    # the rule rbf_interpolate and ldpl_interpolate apply, checked before any solve
+    for key, value in (("rbf.shape", shape), ("ldpl.d0", d0)):
+        if value is not None and not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value}")
     methods = {
         "zero": zero_fill,
         "ldpl": lambda d, m: ldpl_interpolate(d, m, d0=d0).values,
@@ -136,14 +144,17 @@ def sweep(methods: dict, scenes, sparsities, seeds,
           outage_threshold: float = DEFAULT_OUTAGE_THRESHOLD) -> list:
     """Full cross product of methods x scenes x sparsities x seeds.
 
-    A method failure on one instance becomes a NaN row, not an abort.
+    A method failure on one instance becomes a NaN row, not an abort; bad
+    sweep settings raise before any method runs.
     """
     scenes = [as_tensor(s) for s in scenes]
+    for sp in sparsities:
+        if not 0.0 < sp <= 100.0:
+            raise InvalidArgumentError(f"sparsity percent must be in (0, 100], got {sp}")
+    _check_outage_threshold(outage_threshold)
     reports = []
     for name, fn in methods.items():
         for sp in sparsities:
-            if not 0.0 < sp <= 100.0:
-                raise InvalidArgumentError(f"sparsity percent must be in (0, 100], got {sp}")
             for seed in seeds:
                 for si, scene in enumerate(scenes):
                     h, w, _ = scene.shape

@@ -7,7 +7,6 @@ and a sparse set of single-cell obstructions.  Every generated map is
 min-max normalized to [0, 1] jointly across bands.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from scipy.linalg.lapack import dpocon
 from scipy.ndimage import gaussian_filter
 
 from .errors import InvalidArgumentError
-from .tensors import ObservationMask, as_tensor, project
+from .tensors import ObservationMask, observed
 
 # Band scaling of the aggregate loss; keeps cross-band rows affinely related.
 BAND_LOSS_FACTOR = 0.05
@@ -78,6 +77,11 @@ def _correlated_shadowing(h, w, sigma, corr, rng) -> np.ndarray:
     return smooth * (sigma / sd)
 
 
+def _check_dims(h, w, k_bands):
+    if h < 1 or w < 1 or k_bands < 1:
+        raise InvalidArgumentError(f"scene dims must be positive, got {h}x{w}x{k_bands}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Everything needed to generate one scene deterministically."""
@@ -91,10 +95,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.h < 1 or self.w < 1 or self.k_bands < 1:
-            raise InvalidArgumentError(
-                f"scene dims must be positive, got {self.h}x{self.w}x{self.k_bands}"
-            )
+        _check_dims(self.h, self.w, self.k_bands)
         if len(self.transmitters) == 0:
             raise InvalidArgumentError("scene needs at least one transmitter")
         for tx in self.transmitters:
@@ -119,6 +120,7 @@ class SceneSpec:
         Explicit n_exp / shadow_sigma / shadow_corr pin those values for
         every transmitter instead of drawing them.
         """
+        _check_dims(h, w, k_bands)  # before the draws below read h and w
         rng = np.random.Generator(np.random.PCG64(seed))
         txs = []
         for _ in range(n_transmitters):
@@ -212,7 +214,6 @@ class LdplFit:
     """
 
     values: np.ndarray
-    p0: tuple
     n_exp: tuple
     fallback_bands: tuple
 
@@ -229,19 +230,18 @@ def ldpl_interpolate(d: np.ndarray, mask: ObservationMask, d0: float = 1.0) -> L
     """
     if not d0 > 0:
         raise InvalidArgumentError(f"d0 must be positive, got {d0}")
-    d = as_tensor(d)
-    project(d, mask)  # validates shapes
+    _, pd = observed(d, mask)
     if mask.count < 3:
         raise InvalidArgumentError(f"need at least 3 observed cells, got {mask.count}")
-    h, w, k = d.shape
+    h, w, k = pd.shape
     rr, cc = np.nonzero(mask.sampled)
     rows = np.arange(h, dtype=np.float64)[:, None]
     cols = np.arange(w, dtype=np.float64)[None, :]
 
-    values = np.empty_like(d)
-    p0s, n_exps, fallbacks = [], [], []
+    values = np.empty_like(pd)
+    n_exps, fallbacks = [], []
     for b in range(k):
-        v = d[rr, cc, b]
+        v = pd[rr, cc, b]
         tx = int(np.argmax(v))
         dist = np.hypot(rows - rr[tx], cols - cc[tx])
         x_all = 10.0 * np.log10(np.maximum(dist, d0) / d0)
@@ -252,7 +252,6 @@ def ldpl_interpolate(d: np.ndarray, mask: ObservationMask, d0: float = 1.0) -> L
         if v_range == 0.0:
             # constant observations: no decay to fit, keep the constant
             values[:, :, b] = v_lo
-            p0s.append(v_lo)
             n_exps.append(2.0)
             fallbacks.append(b)
             continue
@@ -269,11 +268,10 @@ def ldpl_interpolate(d: np.ndarray, mask: ObservationMask, d0: float = 1.0) -> L
             a_fit = float(coef[0])
             n_fit = float(np.clip(coef[1], *N_EXP_BOUNDS))
         values[:, :, b] = (a_fit - n_fit * x_all) / scale + v_lo
-        p0s.append(a_fit / scale + v_lo)
         n_exps.append(n_fit)
 
-    return LdplFit(values=np.ascontiguousarray(values), p0=tuple(p0s),
-                   n_exp=tuple(n_exps), fallback_bands=tuple(fallbacks))
+    return LdplFit(values=np.ascontiguousarray(values), n_exp=tuple(n_exps),
+                   fallback_bands=tuple(fallbacks))
 
 
 @dataclass(frozen=True)
@@ -298,11 +296,8 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     defaults to a fixed 3-cell width; tying it to observation density makes
     reconstruction quality non-monotone in sampling rate.
     """
-    d = as_tensor(d)
-    project(d, mask)  # shape validation
+    _, pd = observed(d, mask)
     n_obs = mask.count
-    if n_obs < 1:
-        raise InvalidArgumentError("rbf interpolation needs at least one observed cell")
     if 8 * n_obs**2 > RBF_MAX_KERNEL_BYTES:
         raise InvalidArgumentError(
             f"rbf kernel for {n_obs} observed cells needs {8 * n_obs**2} bytes, "
@@ -329,7 +324,7 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     if ridged:
         kmat[np.diag_indices(n_obs)] += 1e-8
         factor = cho_factor(kmat, lower=True, check_finite=False)
-    weights = cho_solve(factor, d[rr, cc, :], check_finite=False)  # (n_obs, k)
+    weights = cho_solve(factor, pd[rr, cc, :], check_finite=False)  # (n_obs, k)
 
     # est[:, :, b] = er @ diag(weights[:, b]) @ ec.T
     est = (er * weights.T[:, None, :]) @ ec.T

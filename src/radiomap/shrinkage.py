@@ -123,11 +123,3 @@ def scale_to_ball(x: np.ndarray, radius) -> np.ndarray:
     """Rescale x onto the Frobenius ball of the given radius if it lies outside."""
     r = float(np.linalg.norm(x.ravel()))
     return (1.0 if r == 0.0 else min(radius / r, 1.0)) * x
-
-
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-12) -> int:
-    """Count singular values above rel_tol times the largest one."""
-    s = np.linalg.svd(np.asarray(m, dtype=np.float64), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))

@@ -94,41 +94,34 @@ class ObservationMask:
     def count(self) -> int:
         return int(self.sampled.sum())
 
-    @property
-    def fraction(self) -> float:
-        return self.count / self.sampled.size
-
-    def complement(self) -> "ObservationMask":
-        return ObservationMask(~self.sampled)
-
     @classmethod
     def full(cls, h: int, w: int) -> "ObservationMask":
         return cls(np.ones((h, w), dtype=bool))
 
 
-def _check_tensor_mask(t: np.ndarray, mask: ObservationMask):
+def project(t: np.ndarray, mask: ObservationMask, complement: bool = False) -> np.ndarray:
+    """Zero every cell outside the mask (or inside it, with complement=True)."""
     if t.ndim != 3 or t.shape[:2] != (mask.h, mask.w):
         raise InvalidArgumentError(
             f"tensor shape {t.shape} does not match mask grid {mask.h}x{mask.w}"
         )
-
-
-def project(t: np.ndarray, mask: ObservationMask, complement: bool = False) -> np.ndarray:
-    """Zero every cell outside the mask (or inside it, with complement=True)."""
-    _check_tensor_mask(t, mask)
     keep = ~mask.sampled if complement else mask.sampled
     return np.where(keep[:, :, None], t, 0.0)
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise InvalidArgumentError(f"inner product shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.vdot(a, b).real)
+def observed(d, mask: ObservationMask) -> tuple[np.ndarray, np.ndarray]:
+    """The input contract every estimator shares: returns (d, pd), d checked
+    by as_tensor and pd = project(d, mask), the data on the observed cells.
+
+    Raises InvalidArgumentError on a bad tensor, a mask grid that differs
+    from the tensor's, or a mask that selects no cell.
+    """
+    d = as_tensor(d)
+    pd = project(d, mask)
+    if mask.count == 0:
+        raise InvalidArgumentError("mask selects no observed cells")
+    return d, pd
 
 
 def fro_norm(t: np.ndarray) -> float:
     return float(np.linalg.norm(t.ravel()))
-
-
-def l1_norm(t: np.ndarray) -> float:
-    return float(np.abs(t).sum())

@@ -21,7 +21,7 @@ from . import admm
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalFailureError
 from .propagation import ldpl_interpolate
-from .tensors import ObservationMask, as_tensor, project
+from .tensors import ObservationMask, as_tensor, observed
 
 _SCALAR_NAMES = ("log_mu", "log_theta", "log_beta", "log_lambda", "log_delta")
 
@@ -195,15 +195,11 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
 def forward(model: UnrolledModel, d, mask: ObservationMask):
     """Run all blocks; returns (x, e, d_hat) Nodes plus per-block on-mask
     residual norms ||P_o(X+E+N-D)||_F recorded from the forward values."""
-    d = as_tensor(d)
+    d, pd = observed(d, mask)
     if d.shape[2] != model.k_bands:
         raise InvalidArgumentError(f"model expects {model.k_bands} bands, got {d.shape[2]}")
-    if d.shape[:2] != mask.sampled.shape:
-        raise InvalidArgumentError(f"mask dims {mask.sampled.shape} do not match tensor {d.shape[:2]}")
-    if mask.count == 0:
-        raise InvalidArgumentError("mask selects no observed cells")
     on = mask.sampled[:, :, None]
-    pd = ad.Node(project(d, mask))
+    pd = ad.Node(pd)
     state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
     residuals = []
     for k, blk in enumerate(model.blocks):
@@ -233,12 +229,6 @@ def infer(model: UnrolledModel, d, mask: ObservationMask) -> np.ndarray:
     return d_hat.value
 
 
-def _data_fidelity(model, d, mask) -> float:
-    with ad.no_grad():
-        _, _, d_hat, _ = forward(model, d, mask)
-    return float(np.linalg.norm(np.where(mask.sampled[:, :, None], d_hat.value - d, 0.0)))
-
-
 def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     """Adam training, one gradient step per sample (batch size 1).
 
@@ -250,10 +240,14 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     pairs = [(as_tensor(d), mask) for d, mask in dataset]
     if not pairs:
         raise InvalidArgumentError("dataset is empty")
+    n_val = int(round(len(pairs) * cfg.val_split)) if len(pairs) >= 2 else 0
+    if n_val == len(pairs):
+        raise InvalidArgumentError(
+            f"val_split {cfg.val_split} puts all {len(pairs)} samples in validation, "
+            "leaving none to train on")
     # the physics prior is a fixed target per sample; fit it once
     ldpl_maps = [ldpl_interpolate(d, mask).values for d, mask in pairs]
     rng = np.random.default_rng(cfg.seed)
-    n_val = int(round(len(pairs) * cfg.val_split)) if len(pairs) >= 2 else 0
     order = rng.permutation(len(pairs))
     val_idx = list(order[:n_val])
     train_idx = list(order[n_val:])

@@ -166,12 +166,32 @@ def test_sweep_applies_solver_sections(tmp_path):
 
 
 def test_sweep_bad_solver_config_exits_5(tmp_path, capsys):
+    for line in ("admm.mu=0", "rbf.shape=-1", "ldpl.d0=0", "ldpl.d0=-2"):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG + line + "\n")
+        out = tmp_path / "report.csv"
+        assert run("sweep", "--config", cfg, "--out", out) == 5, line
+        assert capsys.readouterr().err.startswith("config-error:")
+        assert not out.exists()
+
+
+def test_sweep_bad_outage_threshold_exits_2(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CFG + "admm.mu=0\n")
+    cfg.write_text(SWEEP_CFG + "sweep.outage_threshold=1.5\n")
     out = tmp_path / "report.csv"
-    assert run("sweep", "--config", cfg, "--out", out) == 5
-    assert capsys.readouterr().err.startswith("config-error:")
+    assert run("sweep", "--config", cfg, "--out", out) == 2
+    assert "outage threshold" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nonpositive_scene_dims_exit_2(tmp_path, capsys):
+    for line in ("scene.h=0", "scene.w=-3"):
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(line + "\nsweep.n_scenes=1\nsweep.methods=zero\n")
+        assert run("gen", "--spec", cfg, "--out", tmp_path / "scene") == 2, line
+        assert "scene dims must be positive" in capsys.readouterr().err
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "r.csv") == 2, line
+        assert "scene dims must be positive" in capsys.readouterr().err
 
 
 def test_export_and_import_round_trip(scene_dir, tmp_path):
@@ -226,6 +246,21 @@ def test_exit_2_on_bad_arguments(tmp_path, capsys):
     assert run("sample", "--tensor", tmp_path / "missing.rmt", "--percent", 10,
                "--seed", 0, "--out", tmp_path / "m2.rmm") == 2
     assert run("train", "--dataset", tmp_path / "nowhere", "--out", tmp_path / "c.rmu") == 2
+    data = tmp_path / "data"
+    data.mkdir()
+    rio.write_tensor(data / "s.rmt", np.zeros((8, 8, 1)))
+    rio.write_mask(data / "s.rmm", sample_mask(6, 6, 50.0, seed=0))
+    assert run("train", "--dataset", data, "--out", tmp_path / "c.rmu") == 2  # grid mismatch
+    assert not (tmp_path / "c.rmu").exists()
+
+
+def test_train_with_no_training_sample_exits_2(tmp_path, capsys):
+    root = make_dataset(tmp_path)
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("unroll.k_blocks=1\ntrain.epochs=1\ntrain.val_split=0.9\n")
+    assert run("train", "--dataset", root, "--config", cfg, "--out", tmp_path / "c.rmu") == 2
+    assert "none to train on" in capsys.readouterr().err
+    assert not (tmp_path / "c.rmu").exists()
 
 
 def test_exit_3_on_corrupt_files(tmp_path, capsys):
@@ -271,7 +306,9 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                          ("halrtc", "halrtc.alpha=0.2,0.2,0.2"),
                          ("admm", "admm.alpha=nan,nan,nan"),
                          ("halrtc", "halrtc.alpha=nan,nan,nan"),
-                         ("ldpl", "admm.mu=-3"), ("zero", "halrtc.rho=0")):
+                         ("ldpl", "admm.mu=-3"), ("zero", "halrtc.rho=0"),
+                         ("rbf", "rbf.shape=-1"), ("rbf", "rbf.shape=0"),
+                         ("ldpl", "ldpl.d0=0"), ("admm", "ldpl.d0=-2")):
         domain = tmp_path / "domain.cfg"
         domain.write_text(line + "\n")
         assert run("solve", "--method", method, "--tensor", t, "--mask", m,

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from rank import numerical_rank
 
 from radiomap.errors import InvalidArgumentError
 from radiomap.propagation import (RBF_MAX_KERNEL_BYTES, LdplParams, SceneSpec,
                                   generate_scene, ldpl_field, ldpl_interpolate,
                                   rbf_interpolate, sample_mask)
-from radiomap.shrinkage import numerical_rank
 from radiomap.tensors import ObservationMask, unfold
 
 

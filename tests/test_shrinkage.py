@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from rank import numerical_rank
 
 from radiomap import shrinkage
 from radiomap.errors import InvalidArgumentError
-from radiomap.shrinkage import GRAM_MAX_SPREAD, numerical_rank, soft_threshold, svt
+from radiomap.shrinkage import GRAM_MAX_SPREAD, soft_threshold, svt
 
 
 def grid_search_scalar_prox(v, tau, lo=-6.0, hi=6.0, n=2_000_001):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radiomap.admm import solve_admm, solve_halrtc
 from radiomap.errors import InvalidArgumentError
-from radiomap.tensors import (MODES, ObservationMask, as_tensor, fold, fro_norm,
-                              inner, l1_norm, project, unfold)
+from radiomap.propagation import ldpl_interpolate, rbf_interpolate, sample_mask
+from radiomap.tensors import (MODES, ObservationMask, as_tensor, fold, fro_norm, observed,
+                              project, unfold)
+from radiomap.unrolled import UnrolledModel, infer
 
 
 def brute_force_unfold(t, mode):
@@ -92,8 +95,7 @@ def test_mask_validation_and_properties():
     with pytest.raises(InvalidArgumentError):
         ObservationMask(np.zeros(3, dtype=bool))
     m = ObservationMask(np.eye(4, dtype=bool))
-    assert m.count == 4 and m.fraction == 0.25 and (m.h, m.w) == (4, 4)
-    assert m.complement().count == 12
+    assert m.count == 4 and (m.h, m.w) == (4, 4)
     assert ObservationMask.full(2, 5).count == 10
 
 
@@ -113,10 +115,45 @@ def test_project_rejects_dim_mismatch():
         project(np.zeros((3, 4, 2)), mask)
 
 
-def test_norms_and_inner(rng):
+def test_fro_norm(rng):
     t = rng.normal(size=(4, 5, 2))
     assert fro_norm(t) == pytest.approx(np.sqrt((t**2).sum()))
-    assert l1_norm(t) == pytest.approx(np.abs(t).sum())
-    assert inner(t, t) == pytest.approx(fro_norm(t) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# the estimator input contract
+
+def test_observed_returns_checked_tensor_and_projection(rng):
+    d = rng.random((6, 5, 2))
+    mask = ObservationMask(rng.random((6, 5)) < 0.5)
+    t, pd = observed(d.tolist(), mask)
+    assert t.dtype == np.float64 and t.flags.c_contiguous and np.array_equal(t, d)
+    assert np.array_equal(pd, project(d, mask))
+
+
+def _nan_at_origin(d):
+    d = d.copy()
+    d[0, 0, 0] = np.nan
+    return d
+
+
+ESTIMATORS = {
+    "solve_admm": solve_admm,
+    "solve_halrtc": solve_halrtc,
+    "infer": lambda d, m: infer(UnrolledModel.create(h=16, w=16, k_bands=3, k_blocks=1), d, m),
+    "rbf_interpolate": rbf_interpolate,
+    "ldpl_interpolate": ldpl_interpolate,
+}
+BAD_INPUTS = {
+    "empty_mask": lambda d: (d, ObservationMask(np.zeros((16, 16), dtype=bool))),
+    "mask_grid_mismatch": lambda d: (d, sample_mask(8, 8, 50.0, seed=0)),
+    "nan_in_data": lambda d: (_nan_at_origin(d), sample_mask(16, 16, 50.0, seed=0)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INPUTS)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_every_estimator_rejects_bad_input(estimator, bad, rng):
+    d, mask = BAD_INPUTS[bad](rng.random((16, 16, 3)))
     with pytest.raises(InvalidArgumentError):
-        inner(t, t[:, :, :1])
+        ESTIMATORS[estimator](d, mask)

@@ -10,9 +10,9 @@ from radiomap.admm import AdmmHyperParams, solve_admm
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import psnr
 from radiomap.propagation import SceneSpec, generate_scene, ldpl_interpolate, sample_mask
-from radiomap.tensors import ObservationMask
+from radiomap.tensors import ObservationMask, fro_norm, project
 from radiomap.unrolled import (MapperSpec, TrainConfig, UnrolledModel,
-                               _data_fidelity, forward, infer, loss, train)
+                               forward, infer, loss, train)
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +214,23 @@ def test_training_reduces_loss_on_one_sample():
 
 def test_training_improves_data_fidelity():
     ds = small_dataset(1)
-    fid0 = _data_fidelity(small_model(), *ds[0])
+    d, mask = ds[0]
+
+    def fidelity(model):
+        return fro_norm(project(infer(model, d, mask) - d, mask))
+
+    fid0 = fidelity(small_model())
     model, _ = train(small_model(), ds, TrainConfig(epochs=60, lr=1e-3, seed=0))
-    assert _data_fidelity(model, *ds[0]) < fid0
+    assert fidelity(model) < fid0
+
+
+def test_train_rejects_split_with_no_training_sample():
+    model = small_model()
+    before = [p.value.copy() for p in model.params()]
+    with pytest.raises(InvalidArgumentError, match="none to train on"):
+        train(model, small_dataset(2), TrainConfig(epochs=1, seed=0, val_split=0.9))
+    for b, p in zip(before, model.params()):
+        assert np.array_equal(b, p.value)
 
 
 def test_zero_lr_leaves_parameters_unchanged():
