@@ -57,17 +57,16 @@ class AdmmHyperParams:
             raise InvalidArgumentError(f"alpha needs three positive weights, got {self.alpha}")
         if not abs(sum(self.alpha) - 1.0) <= 1e-12:
             raise InvalidArgumentError(f"alpha must sum to 1, got sum {sum(self.alpha)!r}")
-        if self.lam is not None and not self.lam > 0:
-            raise InvalidArgumentError(f"lam must be positive, got {self.lam}")
-        for name in ("mu", "theta", "beta", "rho"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise InvalidArgumentError(f"lam must be finite and positive, got {self.lam}")
+        for name in ("mu", "theta", "beta", "rho", "tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidArgumentError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.delta < 0:
             raise InvalidArgumentError(f"delta must be >= 0, got {self.delta}")
         if self.max_iters < 1:
             raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
         if self.penalty_growth < 1.0:
             raise InvalidArgumentError(f"penalty_growth must be >= 1, got {self.penalty_growth}")
         if self.penalty_cap < max(self.mu, self.theta, self.beta):

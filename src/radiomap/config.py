@@ -91,7 +91,6 @@ KEYS = {
     "scene.shadow_sigma": float,
     "scene.shadow_corr": float,
     "scene.d0": float,
-    "scene.p0": float,
     "unroll.k_blocks": int,
     "unroll.loss_omega": float,
     "unroll.rho": float,

@@ -3,7 +3,9 @@
 Three little-endian binary formats, each with a 4-byte magic:
   RMT1  tensor   header h,w,k (u32) + h*w*k float64, band fastest
   RMM1  mask     header h,w (u32) + h*w bytes in {0,1}
-  RMU1  model    versioned checkpoint with trailing CRC32
+  RMU1  model    versioned checkpoint: header, mapper descriptor, then every
+                 parameter in model.params() order (a 0-d one as one f64, any
+                 other as a u64 byte count + its f64 values), trailing CRC32
 
 All writers go through an atomic temp-file + rename, so a crashed write never
 leaves a truncated artifact behind.
@@ -137,9 +139,9 @@ def write_checkpoint(path: str, model) -> None:
     """Serialize an UnrolledModel; layout documented in the module docstring.
 
     Body: version, k_blocks, k_bands, alpha[3], rho, loss_omega, mapper
-    descriptor (layer records + residual flag), then per block the five log
-    scalars and the length-prefixed weight/bias blobs of both mappers, in
-    parameter order. CRC32 of everything before it closes the file.
+    descriptor (layer records + residual flag), then each parameter in
+    model.params() order, a 0-d one as one f64 and any other as its u64 byte
+    count and f64 values. CRC32 of everything before it closes the file.
     """
     spec = model.mapper_spec
     dims = spec.layer_dims(model.k_bands)
@@ -152,19 +154,17 @@ def write_checkpoint(path: str, model) -> None:
     for ci, co in dims:
         out += struct.pack("<IIII", spec.kernel, spec.kernel, ci, co)
     out += struct.pack("<B", 1 if spec.residual else 0)
-    for blk in model.blocks:
-        out += struct.pack("<5d", *(float(n.value) for n in blk.scalar_nodes()))
-        for wn, bn in blk.v_layers + blk.w_layers:
-            for arr in (wn.value, bn.value):
-                blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                out += struct.pack("<Q", len(blob)) + blob
+    for p in model.params():
+        blob = np.ascontiguousarray(p.value, dtype="<f8").tobytes()
+        if p.value.ndim:
+            out += struct.pack("<Q", len(blob))
+        out += blob
     out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
     _atomic_write(path, bytes(out))
 
 
 def read_checkpoint(path: str):
     from .unrolled import MapperSpec, UnrolledModel
-    from . import autodiff as ad
 
     buf = _read_bytes(path)
     if len(buf) < 8 or buf[:4] != CHECKPOINT_MAGIC:
@@ -177,8 +177,6 @@ def read_checkpoint(path: str):
     version, k_blocks, k_bands = c.u32(), c.u32(), c.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if k_blocks < 1 or k_bands < 1:
-        raise FormatError(f"{path}: bad counts k_blocks={k_blocks} k_bands={k_bands}")
     alpha = tuple(c.f64s(3).tolist())
     rho, loss_omega = c.f64s(1)[0], c.f64s(1)[0]
     n_layers = c.u32()
@@ -189,41 +187,30 @@ def read_checkpoint(path: str):
     if n_layers < 1:
         raise FormatError(f"{path}: mapper needs at least one layer")
     kernel = layer_recs[0][0]
-    for kh, kw, ci, co in layer_recs:
-        if kh != kernel or kw != kernel:
-            raise FormatError(f"{path}: mixed kernel sizes are not supported")
-    if layer_recs[0][2] != k_bands or layer_recs[-1][3] != k_bands:
-        raise FormatError(f"{path}: mapper does not map {k_bands} bands to itself")
     hidden = tuple(co for _, _, _, co in layer_recs[:-1])
     try:
         spec = MapperSpec(hidden_channels=hidden, kernel=kernel, residual=bool(residual))
     except InvalidArgumentError as exc:
         raise FormatError(f"{path}: bad mapper descriptor: {exc}") from exc
-    expected_dims = spec.layer_dims(k_bands)
-    if [(ci, co) for _, _, ci, co in layer_recs] != expected_dims:
-        raise FormatError(f"{path}: inconsistent layer channel chain")
+    # one comparison covers the kernel sizes, the band mapping and the channel chain
+    if layer_recs != [(kernel, kernel, ci, co) for ci, co in spec.layer_dims(k_bands)]:
+        raise FormatError(f"{path}: layer records do not describe a {k_bands}-band mapper")
     try:
         model = UnrolledModel.create(k_bands=k_bands, k_blocks=k_blocks, mapper=spec,
                                      loss_omega=loss_omega, alpha=alpha, rho=rho)
     except InvalidArgumentError as exc:
         raise FormatError(f"{path}: bad model header: {exc}") from exc
-    for blk in model.blocks:
-        scalars = c.f64s(5)
-        if not np.all(np.isfinite(scalars)):
-            raise FormatError(f"{path}: non-finite block scalars")
-        for node, v in zip(blk.scalar_nodes(), scalars):
-            node.value = np.asarray(v)
-        for wn, bn in blk.v_layers + blk.w_layers:
-            for node in (wn, bn):
-                nbytes = c.u64()
-                if nbytes != node.value.size * 8:
-                    raise FormatError(
-                        f"{path}: weight blob of {nbytes} bytes does not match "
-                        f"expected shape {node.value.shape}")
-                arr = c.f64s(node.value.size).reshape(node.value.shape)
-                if not np.all(np.isfinite(arr)):
-                    raise FormatError(f"{path}: non-finite mapper weights")
-                node.value = arr
+    for p in model.params():
+        if p.value.ndim:
+            nbytes = c.u64()
+            if nbytes != p.value.size * 8:
+                raise FormatError(
+                    f"{path}: parameter blob of {nbytes} bytes does not match "
+                    f"expected shape {p.value.shape}")
+        arr = c.f64s(p.value.size).reshape(p.value.shape)
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: non-finite parameter values")
+        p.value = arr
     c.done()
     return model
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, RadioMapError
 from .tensors import ObservationMask, as_tensor, project
-from .propagation import sample_mask
+from .propagation import check_seed, sample_mask
 
 PSNR_CAP_DB = 99.0
 DEFAULT_OUTAGE_THRESHOLD = 0.2
@@ -117,8 +117,8 @@ def standard_methods(model=None, cfg=None) -> dict:
     d0 = cfg.get("ldpl.d0", 1.0)
     # the rule rbf_interpolate and ldpl_interpolate apply, checked before any solve
     for key, value in (("rbf.shape", shape), ("ldpl.d0", d0)):
-        if value is not None and not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and positive, got {value}")
     methods = {
         "zero": zero_fill,
         "ldpl": lambda d, m: ldpl_interpolate(d, m, d0=d0).values,
@@ -151,6 +151,8 @@ def sweep(methods: dict, scenes, sparsities, seeds,
     for sp in sparsities:
         if not 0.0 < sp <= 100.0:
             raise InvalidArgumentError(f"sparsity percent must be in (0, 100], got {sp}")
+    for seed in seeds:
+        check_seed(seed)
     _check_outage_threshold(outage_threshold)
     reports = []
     for name, fn in methods.items():

@@ -82,6 +82,12 @@ def _check_dims(h, w, k_bands):
         raise InvalidArgumentError(f"scene dims must be positive, got {h}x{w}x{k_bands}")
 
 
+def check_seed(seed) -> None:
+    """numpy seeds its generators from non-negative integers only."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Everything needed to generate one scene deterministically."""
@@ -96,6 +102,7 @@ class SceneSpec:
 
     def __post_init__(self):
         _check_dims(self.h, self.w, self.k_bands)
+        check_seed(self.seed)
         if len(self.transmitters) == 0:
             raise InvalidArgumentError("scene needs at least one transmitter")
         for tx in self.transmitters:
@@ -114,20 +121,20 @@ class SceneSpec:
     @classmethod
     def random(cls, h, w, k_bands, n_transmitters=1, n_obstructions=0,
                obstruction_depth=10.0, seed=0, n_exp=None, shadow_sigma=None,
-               shadow_corr=None, d0=1.0, p0=0.0) -> "SceneSpec":
+               shadow_corr=None, d0=1.0) -> "SceneSpec":
         """Place transmitters and draw propagation parameters from seed.
 
         Explicit n_exp / shadow_sigma / shadow_corr pin those values for
         every transmitter instead of drawing them.
         """
         _check_dims(h, w, k_bands)  # before the draws below read h and w
+        check_seed(seed)
         rng = np.random.Generator(np.random.PCG64(seed))
         txs = []
         for _ in range(n_transmitters):
             txs.append(LdplParams(
                 tx_row=int(rng.integers(0, h)),
                 tx_col=int(rng.integers(0, w)),
-                p0=p0,
                 n_exp=float(rng.uniform(2.0, 3.5)) if n_exp is None else float(n_exp),
                 d0=d0,
                 shadow_sigma=float(rng.uniform(2.0, 5.0)) if shadow_sigma is None else float(shadow_sigma),
@@ -197,6 +204,7 @@ def sample_mask(h: int, w: int, percent: float, seed: int) -> ObservationMask:
     n = int(round(percent * h * w / 100.0))
     if n == 0:
         raise InvalidArgumentError(f"{percent}% of a {h}x{w} grid rounds to zero cells")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.choice(h * w, size=n, replace=False)
     flat = np.zeros(h * w, dtype=bool)
@@ -228,8 +236,8 @@ def ldpl_interpolate(d: np.ndarray, mask: ObservationMask, d0: float = 1.0) -> L
     unconstrained fit.  Observed cells keep fitted values, so this is a
     smooth prior rather than an exact interpolant.
     """
-    if not d0 > 0:
-        raise InvalidArgumentError(f"d0 must be positive, got {d0}")
+    if not 0 < d0 < np.inf:
+        raise InvalidArgumentError(f"d0 must be finite and positive, got {d0}")
     _, pd = observed(d, mask)
     if mask.count < 3:
         raise InvalidArgumentError(f"need at least 3 observed cells, got {mask.count}")
@@ -304,8 +312,8 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
             f"over the {RBF_MAX_KERNEL_BYTES}-byte limit")
     if shape_param is None:
         shape_param = 3.0
-    if not shape_param > 0:
-        raise InvalidArgumentError(f"shape_param must be positive, got {shape_param}")
+    if not 0 < shape_param < np.inf:
+        raise InvalidArgumentError(f"shape_param must be finite and positive, got {shape_param}")
     h, w = mask.h, mask.w
     rr, cc = np.nonzero(mask.sampled)
 

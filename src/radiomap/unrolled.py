@@ -20,7 +20,7 @@ import numpy as np
 from . import admm
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalFailureError
-from .propagation import ldpl_interpolate
+from .propagation import check_seed, ldpl_interpolate
 from .tensors import ObservationMask, as_tensor, observed
 
 _SCALAR_NAMES = ("log_mu", "log_theta", "log_beta", "log_lambda", "log_delta")
@@ -65,24 +65,22 @@ class TrainConfig:
             raise InvalidArgumentError(f"val_split must be in (0, 1), got {self.val_split}")
         if not np.isfinite(self.lr) or self.lr < 0:
             raise InvalidArgumentError(f"lr must be finite and >= 0, got {self.lr}")
+        check_seed(self.seed)
 
 
 class BlockParams:
     """Learnable state of one unrolled block: five log scalars + two mappers."""
 
     def __init__(self, scalars, v_layers, w_layers):
-        self.log_mu, self.log_theta, self.log_beta, self.log_lambda, self.log_delta = scalars
+        self.scalars = list(scalars)  # log Nodes, in _SCALAR_NAMES order
         self.v_layers = v_layers  # list of (weight Node, bias Node)
         self.w_layers = w_layers
 
-    def scalar_nodes(self):
-        return [getattr(self, n) for n in _SCALAR_NAMES]
-
     def decoded_scalars(self) -> dict:
-        return {n[4:]: float(np.exp(getattr(self, n).value)) for n in _SCALAR_NAMES}
+        return {n[4:]: float(np.exp(s.value)) for n, s in zip(_SCALAR_NAMES, self.scalars)}
 
     def params(self):
-        out = list(self.scalar_nodes())
+        out = list(self.scalars)
         for wn, bn in self.v_layers + self.w_layers:
             out.append(wn)
             out.append(bn)
@@ -109,16 +107,14 @@ class UnrolledModel:
             raise InvalidArgumentError(f"bad dims {h}x{w}x{k_bands}")
         if not 0.0 <= loss_omega <= 1.0:
             raise InvalidArgumentError(f"loss_omega must be in [0, 1], got {loss_omega}")
-        if len(alpha) != 3 or not all(a >= 0 for a in alpha) or not abs(sum(alpha) - 1.0) <= 1e-12:
-            raise InvalidArgumentError(f"alpha must be three nonneg weights summing to 1, got {alpha}")
-        if not rho > 0:
-            raise InvalidArgumentError(f"rho must be positive, got {rho}")
+        check_seed(seed)
+        hp = admm.AdmmHyperParams(alpha=alpha, rho=rho).resolved((h, w, k_bands))
         mapper = mapper or MapperSpec()
         rng = np.random.default_rng(seed)
-        # scalar inits match the classical solver so an untrained net behaves
-        # like truncated classical ADMM; delta starts small but positive so
-        # log-decode and the ball gradient are well defined
-        inits = (1e-2, 1e-2, 1e-2, 1.0 / math.sqrt(max(h, w)), 1e-3)
+        # scalar inits are the classical solver's defaults, so an untrained net
+        # behaves like truncated classical ADMM; delta starts small but positive
+        # (not the classical 0) so log-decode and the ball gradient are defined
+        inits = (hp.mu, hp.theta, hp.beta, hp.lam, 1e-3)
         blocks = []
         for _ in range(k_blocks):
             scalars = [ad.Node(np.asarray(math.log(v))) for v in inits]
@@ -127,7 +123,7 @@ class UnrolledModel:
                 _init_mapper(rng, mapper, k_bands),
                 _init_mapper(rng, mapper, k_bands),
             ))
-        return cls(k_blocks, k_bands, blocks, mapper, loss_omega, alpha, rho)
+        return cls(k_blocks, k_bands, blocks, mapper, loss_omega, hp.alpha, hp.rho)
 
     def params(self):
         out = []
@@ -139,18 +135,9 @@ class UnrolledModel:
         """Parameters that can receive gradient. The final block's mappers and
         its delta are structurally dead: P/Q and N of that block only feed the
         multiplier updates, which never reach D_hat = X + E."""
-        out = []
-        last = self.k_blocks - 1
-        for i, b in enumerate(self.blocks):
-            for name in _SCALAR_NAMES:
-                if i == last and name == "log_delta":
-                    continue
-                out.append(getattr(b, name))
-            if i < last:
-                for wn, bn in b.v_layers + b.w_layers:
-                    out.append(wn)
-                    out.append(bn)
-        return out
+        *head, last = self.blocks
+        return ([p for b in head for p in b.params()]
+                + [s for n, s in zip(_SCALAR_NAMES, last.scalars) if n != "log_delta"])
 
 
 def _init_mapper(rng, spec: MapperSpec, k_bands: int):
@@ -178,7 +165,7 @@ def _apply_mapper(layers, spec: MapperSpec, x: ad.Node) -> ad.Node:
 def _block_hp(model: UnrolledModel, blk: BlockParams) -> SimpleNamespace:
     """The block's decoded scalars plus the fixed alpha and rho, under the
     names admm.block_step reads."""
-    mu, theta, beta, lam, delta = (ad.exp(s) for s in blk.scalar_nodes())
+    mu, theta, beta, lam, delta = (ad.exp(s) for s in blk.scalars)
     return SimpleNamespace(alpha=model.alpha, rho=model.rho, mu=mu, theta=theta,
                            beta=beta, lam=lam, delta=delta)
 

@@ -254,6 +254,11 @@ def test_hyperparams_validation():
         AdmmHyperParams(mu=10.0, penalty_cap=1.0)
     with pytest.raises(InvalidArgumentError):
         AdmmHyperParams(lam=0.0)
+    for name in ("lam", "mu", "theta", "beta", "rho", "tol"):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            AdmmHyperParams(**{name: float("inf")})
+    # inf delta means no noise ball, inf penalty_cap means no cap
+    AdmmHyperParams(delta=float("inf"), penalty_cap=float("inf"))
 
 
 def test_hyperparams_lambda_resolution():

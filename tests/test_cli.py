@@ -166,7 +166,7 @@ def test_sweep_applies_solver_sections(tmp_path):
 
 
 def test_sweep_bad_solver_config_exits_5(tmp_path, capsys):
-    for line in ("admm.mu=0", "rbf.shape=-1", "ldpl.d0=0", "ldpl.d0=-2"):
+    for line in ("admm.mu=0", "rbf.shape=-1", "ldpl.d0=0", "ldpl.d0=-2", "ldpl.d0=inf"):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CFG + line + "\n")
         out = tmp_path / "report.csv"
@@ -192,6 +192,33 @@ def test_nonpositive_scene_dims_exit_2(tmp_path, capsys):
         assert "scene dims must be positive" in capsys.readouterr().err
         assert run("sweep", "--config", cfg, "--out", tmp_path / "r.csv") == 2, line
         assert "scene dims must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,line,code", [
+    ("gen", "scene.seed=-1", 2),
+    ("sample", None, 2),
+    ("sweep", "sweep.seeds=-1", 2),
+    ("train", "train.seed=-1", 5),
+    ("train", "unroll.seed=-1", 2),
+])
+def test_negative_seed_exits_with_its_section_code(tmp_path, capsys, command, line, code):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("scene.h=16\nscene.w=16\nsweep.n_scenes=1\nsweep.methods=zero\n"
+                   "unroll.k_blocks=1\ntrain.epochs=1\n" + (line or "") + "\n")
+    out = tmp_path / "out"
+    if command == "gen":
+        argv = ("gen", "--spec", cfg, "--out", out)
+    elif command == "sample":
+        t = tmp_path / "t.rmt"
+        rio.write_tensor(t, np.zeros((16, 16, 1)))
+        argv = ("sample", "--tensor", t, "--percent", 10, "--seed", -1, "--out", out)
+    elif command == "sweep":
+        argv = ("sweep", "--config", cfg, "--out", out)
+    else:
+        argv = ("train", "--dataset", make_dataset(tmp_path), "--config", cfg, "--out", out)
+    assert run(*argv) == code
+    assert "seed must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_and_import_round_trip(scene_dir, tmp_path):
@@ -308,7 +335,11 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                          ("halrtc", "halrtc.alpha=nan,nan,nan"),
                          ("ldpl", "admm.mu=-3"), ("zero", "halrtc.rho=0"),
                          ("rbf", "rbf.shape=-1"), ("rbf", "rbf.shape=0"),
-                         ("ldpl", "ldpl.d0=0"), ("admm", "ldpl.d0=-2")):
+                         ("ldpl", "ldpl.d0=0"), ("admm", "ldpl.d0=-2"),
+                         ("ldpl", "ldpl.d0=inf"), ("halrtc", "halrtc.rho=inf"),
+                         ("rbf", "rbf.shape=inf"), ("admm", "admm.tol=inf"),
+                         ("halrtc", "halrtc.tol=inf"), ("admm", "admm.rho=inf"),
+                         ("admm", "admm.lambda=inf")):
         domain = tmp_path / "domain.cfg"
         domain.write_text(line + "\n")
         assert run("solve", "--method", method, "--tensor", t, "--mask", m,

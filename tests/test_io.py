@@ -1,5 +1,6 @@
 """File formats: bit-exact round trips, corruption detection, exports."""
 
+import hashlib
 import struct
 import zlib
 
@@ -192,6 +193,60 @@ def test_checkpoint_version_gate(tmp_path, small_model):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         rio.read_checkpoint(path)
+
+
+def golden_model():
+    """Parameter i holds linspace(-1, 1) + i, so the bytes do not depend on
+    numpy's random stream."""
+    model = UnrolledModel.create(h=8, w=8, k_bands=2, k_blocks=2,
+                                 mapper=MapperSpec(hidden_channels=(3,)))
+    for i, p in enumerate(model.params()):
+        p.value = np.linspace(-1, 1, p.value.size).reshape(p.value.shape) + i
+    return model
+
+
+def test_checkpoint_bytes_match_golden_hash(tmp_path):
+    path = tmp_path / "g.rmu"
+    rio.write_checkpoint(path, golden_model())
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "f36ad7acad496c9bffbe433e9d832c4544f1f7fd784138c398ff2c8c59bb4347")
+
+
+# byte offsets in the golden model's body: k_blocks, the first layer record
+# (kh, kw, c_in, c_out), the residual flag, block 0's first log scalar, and
+# the byte count and first value of block 0's first weight blob
+K_BLOCKS, REC0, FLAG, SCALAR0, BLOB0 = 8, 60, 92, 93, 133
+
+
+def _bump_blob_length(body):
+    struct.pack_into("<Q", body, BLOB0, struct.unpack_from("<Q", body, BLOB0)[0] + 8)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda body: struct.pack_into("<II", body, REC0, 5, 5),
+    lambda body: struct.pack_into("<I", body, REC0 + 8, 3),
+    lambda body: struct.pack_into("<B", body, FLAG, 2),
+    lambda body: struct.pack_into("<d", body, SCALAR0, float("nan")),
+    lambda body: struct.pack_into("<d", body, BLOB0 + 8, float("nan")),
+    _bump_blob_length,
+    lambda body: body.extend(bytes(8)),
+    lambda body: struct.pack_into("<I", body, K_BLOCKS, 3),
+    lambda body: struct.pack_into("<I", body, K_BLOCKS, 0),
+], ids=["kernel", "c_in", "residual_flag", "nan_scalar", "nan_weight", "blob_length",
+        "trailing_bytes", "k_blocks", "zero_blocks"])
+def test_checkpoint_rejects_crc_valid_corrupt_body(tmp_path, edit):
+    path = tmp_path / "g.rmu"
+    rio.write_checkpoint(path, golden_model())
+    body = bytearray(path.read_bytes()[:-4])
+    assert struct.unpack_from("<I", body, K_BLOCKS)[0] == 2
+    assert struct.unpack_from("<IIIIB", body, REC0 + 16) == (3, 3, 3, 2, 1)
+    assert struct.unpack_from("<IIII", body, REC0) == (3, 3, 2, 3)
+    assert struct.unpack_from("<Q", body, BLOB0)[0] == 3 * 3 * 2 * 3 * 8
+    edit(body)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    with pytest.raises(FormatError) as exc:
+        rio.read_checkpoint(path)
+    assert "CRC" not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def test_ldpl_interpolate_needs_three_cells(rng):
         ldpl_interpolate(d, ObservationMask(sampled))
 
 
+def test_ldpl_interpolate_rejects_bad_d0(rng):
+    d = rng.random((8, 8, 1))
+    mask = ObservationMask(np.ones((8, 8), dtype=bool))
+    for d0 in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="d0"):
+            ldpl_interpolate(d, mask, d0=d0)
+
+
 def test_ldpl_interpolate_rejects_non_finite_data(rng):
     d = rng.random((8, 8, 1))
     mask = ObservationMask(np.ones((8, 8), dtype=bool))
@@ -225,6 +233,8 @@ def test_rbf_validation(rng):
         rbf_interpolate(d, ObservationMask(np.zeros((6, 6), dtype=bool)))
     with pytest.raises(InvalidArgumentError):
         rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)), shape_param=0.0)
+    with pytest.raises(InvalidArgumentError):
+        rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)), shape_param=np.inf)
     d[2, 3, 0] = np.nan
     with pytest.raises(InvalidArgumentError):
         rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)))

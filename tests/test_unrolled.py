@@ -285,6 +285,12 @@ def test_model_create_validation():
     with pytest.raises(InvalidArgumentError):
         UnrolledModel.create(alpha=(float("nan"),) * 3)
     with pytest.raises(InvalidArgumentError):
+        UnrolledModel.create(alpha=(0.0, 0.5, 0.5))
+    with pytest.raises(InvalidArgumentError):
         UnrolledModel.create(rho=0.0)
+    with pytest.raises(InvalidArgumentError):
+        UnrolledModel.create(rho=float("inf"))
+    with pytest.raises(InvalidArgumentError):
+        UnrolledModel.create(seed=-1)
     with pytest.raises(InvalidArgumentError):
         UnrolledModel.create(k_bands=0)
