@@ -63,14 +63,16 @@ class AdmmHyperParams:
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidArgumentError(
                     f"{name} must be finite and positive, got {getattr(self, name)}")
-        if self.delta < 0:
+        # written as "not ok" so that NaN fails each check
+        if not self.delta >= 0:
             raise InvalidArgumentError(f"delta must be >= 0, got {self.delta}")
         if self.max_iters < 1:
             raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.penalty_growth < 1.0:
+        if not self.penalty_growth >= 1.0:
             raise InvalidArgumentError(f"penalty_growth must be >= 1, got {self.penalty_growth}")
-        if self.penalty_cap < max(self.mu, self.theta, self.beta):
-            raise InvalidArgumentError("penalty_cap below an initial penalty")
+        if not self.penalty_cap >= max(self.mu, self.theta, self.beta):
+            raise InvalidArgumentError(
+                f"penalty_cap must be at least every initial penalty, got {self.penalty_cap}")
 
     def resolved(self, dims) -> "AdmmHyperParams":
         """Concrete copy with lam filled in for the given (h, w, k) dims."""
@@ -160,13 +162,9 @@ def update_n(state: AdmmState, pd, mask: ObservationMask, hp: AdmmHyperParams, o
     return (psi_n - on) + ops.scale_to_ball(on, hp.delta)
 
 
-def update_pq_classical(state: AdmmState, hp: AdmmHyperParams, prox_mode: str = "identity"):
-    """Split-variable step with the identity proximal mapping ("none" skips it)."""
-    if prox_mode == "identity":
-        return state.x + state.gam / hp.theta, state.e + state.phi / hp.beta
-    if prox_mode == "none":
-        return state.p, state.q
-    raise InvalidArgumentError(f"prox_mode must be 'identity' or 'none', got {prox_mode!r}")
+def update_pq_classical(state: AdmmState, hp: AdmmHyperParams):
+    """Split-variable step with the identity proximal mapping."""
+    return state.x + state.gam / hp.theta, state.e + state.phi / hp.beta
 
 
 def update_multipliers(state: AdmmState, pd, hp: AdmmHyperParams) -> AdmmState:
@@ -204,7 +202,6 @@ class AdmmResult:
     e: np.ndarray
     n: np.ndarray
     history: list
-    state: AdmmState
     converged: bool
 
     @property
@@ -218,44 +215,44 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
 
     check_contracts turns on in-loop assertions of solver internals (the
     noise ball bound after every n step); meant for tests, off by default.
-    prox_mode="none" zeroes the P/Q steps, which matches an unrolled block
-    whose mappers output zero.
+    prox_mode="none" keeps P and Q at their zero start, which matches an
+    unrolled block whose mappers output zero.
     """
+    if prox_mode not in ("identity", "none"):
+        raise InvalidArgumentError(f"prox_mode must be 'identity' or 'none', got {prox_mode!r}")
+    # read from the module at each call, so a wrapper installed on the name is used
+    pq_step = update_pq_classical if prox_mode == "identity" else (lambda st, h: (st.p, st.q))
     d, pd = observed(d, mask)
     hp = (hp if hp is not None else AdmmHyperParams()).resolved(d.shape)
     ops = numpy_ops()
     state = AdmmState.initial(d, mask)
-    mu, theta, beta = hp.mu, hp.theta, hp.beta
     history = []
     prev = state.x + state.e
     converged = False
     for it in range(hp.max_iters):
-        hpk = replace(hp, mu=mu, theta=theta, beta=beta)
-        state = block_step(state, pd, mask, hpk,
-                           lambda st, h: update_pq_classical(st, h, prox_mode), ops)
+        state = block_step(state, pd, mask, hp, pq_step, ops)
         if check_contracts:
             ball = fro_norm(project(state.n, mask))
-            if not ball <= hpk.delta + 1e-12:
+            if not ball <= hp.delta + 1e-12:
                 raise AssertionError(
-                    f"noise ball violated at iteration {it}: {ball!r} > {hpk.delta!r} + 1e-12"
+                    f"noise ball violated at iteration {it}: {ball!r} > {hp.delta!r} + 1e-12"
                 )
         history.append(primal_residual(state, pd))
         if not np.isfinite(history[-1]):
             raise NumericalFailureError(
                 f"primal residual became non-finite at iteration {it} "
-                f"(mu={mu:.3e}, theta={theta:.3e}, beta={beta:.3e})"
+                f"(mu={hp.mu:.3e}, theta={hp.theta:.3e}, beta={hp.beta:.3e})"
             )
         cur = state.x + state.e
         rel = fro_norm(cur - prev) / max(fro_norm(cur), 1e-12)
         prev = cur
-        mu = min(mu * hp.penalty_growth, hp.penalty_cap)
-        theta = min(theta * hp.penalty_growth, hp.penalty_cap)
-        beta = min(beta * hp.penalty_growth, hp.penalty_cap)
+        hp = replace(hp, mu=min(hp.mu * hp.penalty_growth, hp.penalty_cap),
+                     theta=min(hp.theta * hp.penalty_growth, hp.penalty_cap),
+                     beta=min(hp.beta * hp.penalty_growth, hp.penalty_cap))
         if rel < hp.tol:
             converged = True
             break
-    return AdmmResult(x=state.x, e=state.e, n=state.n, history=history,
-                      state=state, converged=converged)
+    return AdmmResult(x=state.x, e=state.e, n=state.n, history=history, converged=converged)
 
 
 def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: float = 0.1,

@@ -19,8 +19,8 @@ import numpy as np
 from . import config as cfgmod
 from . import io as rio
 from .errors import InvalidArgumentError, RadioMapError
-from .metrics import (DEFAULT_OUTAGE_THRESHOLD, METHODS, cap_psnr, outage_error, psnr,
-                      rmse, standard_methods, sweep)
+from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, outage_error, psnr, rmse,
+                      standard_methods, sweep)
 from .propagation import SceneSpec, generate_scene, sample_mask
 from .unrolled import UnrolledModel, train
 
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--out", required=True, help="mask file to write")
 
     so = sub.add_parser("solve", help="reconstruct a map from masked observations")
-    so.add_argument("--method", required=True, choices=METHODS)
+    so.add_argument("--method", required=True, choices=cfgmod.METHODS)
     so.add_argument("--tensor", required=True)
     so.add_argument("--mask", required=True)
     so.add_argument("--model", default=None, help="checkpoint for --method unroll")
@@ -87,7 +87,10 @@ def _cmd_gen(args) -> int:
     cfg = cfgmod.load_config(args.spec)
     spec = SceneSpec.random(**cfgmod.scene_kwargs(cfg))
     scene = generate_scene(spec)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except rio.BAD_PATH_ERRORS as exc:
+        raise InvalidArgumentError(f"cannot create directory {args.out}: {exc.strerror}") from exc
     for name, t in (("ground_truth", scene.ground_truth),
                     ("background", scene.background),
                     ("foreground", scene.foreground)):

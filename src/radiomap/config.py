@@ -3,7 +3,7 @@
 Every tunable of the solvers, the scene generator, the trainer, and the
 sweep driver is addressable here, so an experiment is reproducible from
 one small text file.  Unknown keys are rejected with their line number;
-an empty file means all defaults.
+an empty file means all defaults. METHODS names the estimators.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from dataclasses import replace
 
 from .admm import AdmmHyperParams
 from .errors import ConfigError, InvalidArgumentError
-from .metrics import METHODS
 from .unrolled import MapperSpec, TrainConfig
+
+METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
 
 
 def _bool(raw: str) -> bool:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import FormatError, InvalidArgumentError
 from .metrics import cap_psnr
 from .tensors import ObservationMask, as_tensor
+from .unrolled import MapperSpec, UnrolledModel
 
 TENSOR_MAGIC = b"RMT1"
 MASK_MAGIC = b"RMM1"
@@ -31,19 +32,26 @@ CHECKPOINT_MAGIC = b"RMU1"
 CHECKPOINT_VERSION = 1
 
 
+# an output path with a missing parent, or a file where a directory belongs or the reverse
+BAD_PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, FileExistsError)
+
+
 def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except BAD_PATH_ERRORS as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_bytes(path: str) -> bytes:
@@ -164,8 +172,6 @@ def write_checkpoint(path: str, model) -> None:
 
 
 def read_checkpoint(path: str):
-    from .unrolled import MapperSpec, UnrolledModel
-
     buf = _read_bytes(path)
     if len(buf) < 8 or buf[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint file")

@@ -1,4 +1,4 @@
-"""Reconstruction metrics and the sparsity-sweep benchmark harness.
+"""Reconstruction metrics, the estimator table, and the sweep harness.
 
 Metrics are computed jointly over all cells and bands on raw (unclamped)
 estimates; clamping and the 99 dB PSNR cap belong to the export layer only.
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import admm, config, propagation, unrolled
 from .errors import ConfigError, InvalidArgumentError, RadioMapError
 from .tensors import ObservationMask, as_tensor, project
 from .propagation import check_seed, sample_mask
@@ -92,24 +93,14 @@ def zero_fill(d, mask: ObservationMask) -> np.ndarray:
     return project(as_tensor(d), mask)
 
 
-METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
-
-
 def standard_methods(model=None, cfg=None) -> dict:
-    """Name -> estimator table for the CLI and the sweep, keyed by METHODS.
+    """Name -> estimator table for the CLI and the sweep, keyed by config.METHODS.
 
     Estimators take (d_full, mask) and return a full tensor, solving with the
     admm.*, halrtc.*, rbf.* and ldpl.* settings of cfg (None means all
     defaults); bad solver settings raise ConfigError here, before any solve.
     `unroll` needs a trained model and appears only when one is supplied.
     """
-    # imported here, not at module level: config imports this module, and
-    # wrappers installed on these module attributes (perfbench/tracing.py)
-    # must be picked up when the table is built
-    from . import config
-    from .admm import solve_admm, solve_halrtc
-    from .propagation import ldpl_interpolate, rbf_interpolate
-
     cfg = cfg if cfg is not None else config.Config({})
     hp = config.admm_params(cfg)
     halrtc = config.halrtc_kwargs(cfg)
@@ -119,17 +110,18 @@ def standard_methods(model=None, cfg=None) -> dict:
     for key, value in (("rbf.shape", shape), ("ldpl.d0", d0)):
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and positive, got {value}")
+    # each solver is looked up on its module when the estimator runs, so a
+    # wrapper installed there (perfbench/tracing.py) is seen even by a table
+    # built before it
     methods = {
         "zero": zero_fill,
-        "ldpl": lambda d, m: ldpl_interpolate(d, m, d0=d0).values,
-        "rbf": lambda d, m: rbf_interpolate(d, m, shape_param=shape).values,
-        "halrtc": lambda d, m: solve_halrtc(d, m, **halrtc),
-        "admm": lambda d, m: solve_admm(d, m, hp).d_hat,
+        "ldpl": lambda d, m: propagation.ldpl_interpolate(d, m, d0=d0).values,
+        "rbf": lambda d, m: propagation.rbf_interpolate(d, m, shape_param=shape).values,
+        "halrtc": lambda d, m: admm.solve_halrtc(d, m, **halrtc),
+        "admm": lambda d, m: admm.solve_admm(d, m, hp).d_hat,
     }
     if model is not None:
-        from .unrolled import infer
-
-        methods["unroll"] = lambda d, m: infer(model, d, m)
+        methods["unroll"] = lambda d, m: unrolled.infer(model, d, m)
     return methods
 
 
@@ -165,15 +157,11 @@ def sweep(methods: dict, scenes, sparsities, seeds,
                     try:
                         est = fn(scene, mask)
                         ms = (time.perf_counter() - t0) * 1e3
-                        reports.append(EvalReport(
-                            method=name, sparsity_percent=float(sp), seed=int(seed),
-                            psnr_db=psnr(est, scene), rmse=rmse(est, scene),
-                            outage_error=outage_error(est, scene, outage_threshold),
-                            runtime_ms=ms))
+                        scores = dict(psnr_db=psnr(est, scene), rmse=rmse(est, scene),
+                                      outage_error=outage_error(est, scene, outage_threshold))
                     except RadioMapError:
                         ms = (time.perf_counter() - t0) * 1e3
-                        reports.append(EvalReport(
-                            method=name, sparsity_percent=float(sp), seed=int(seed),
-                            psnr_db=math.nan, rmse=math.nan, outage_error=math.nan,
-                            runtime_ms=ms))
+                        scores = dict.fromkeys(("psnr_db", "rmse", "outage_error"), math.nan)
+                    reports.append(EvalReport(method=name, sparsity_percent=float(sp),
+                                              seed=int(seed), runtime_ms=ms, **scores))
     return reports

@@ -46,12 +46,14 @@ class LdplParams:
         lo, hi = N_EXP_BOUNDS
         if not lo <= self.n_exp <= hi:
             raise InvalidArgumentError(f"n_exp must lie in [{lo}, {hi}], got {self.n_exp}")
-        if not self.d0 > 0:
-            raise InvalidArgumentError(f"d0 must be positive, got {self.d0}")
-        if self.shadow_sigma < 0:
-            raise InvalidArgumentError(f"shadow_sigma must be >= 0, got {self.shadow_sigma}")
-        if not self.shadow_corr > 0:
-            raise InvalidArgumentError(f"shadow_corr must be positive, got {self.shadow_corr}")
+        if not 0 < self.d0 < np.inf:
+            raise InvalidArgumentError(f"d0 must be finite and positive, got {self.d0}")
+        if not 0 <= self.shadow_sigma < np.inf:
+            raise InvalidArgumentError(
+                f"shadow_sigma must be finite and >= 0, got {self.shadow_sigma}")
+        if not 0 < self.shadow_corr < np.inf:
+            raise InvalidArgumentError(
+                f"shadow_corr must be finite and positive, got {self.shadow_corr}")
 
 
 def ldpl_field(params: LdplParams, h: int, w: int) -> np.ndarray:
@@ -115,8 +117,9 @@ class SceneSpec:
             raise InvalidArgumentError(
                 f"n_obstructions must be in [0, {cap}] (2% of cells), got {self.n_obstructions}"
             )
-        if self.obstruction_depth < 0:
-            raise InvalidArgumentError(f"obstruction_depth must be >= 0, got {self.obstruction_depth}")
+        if not 0 <= self.obstruction_depth < np.inf:
+            raise InvalidArgumentError(
+                f"obstruction_depth must be finite and >= 0, got {self.obstruction_depth}")
 
     @classmethod
     def random(cls, h, w, k_bands, n_transmitters=1, n_obstructions=0,

@@ -1,12 +1,13 @@
 """Solver update formulas against scripted oracles, plus end-to-end recovery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from radiomap.admm import (AdmmHyperParams, AdmmState, numpy_ops, primal_residual,
-                           psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
-                           update_multipliers, update_n, update_pq_classical,
-                           update_x)
+from radiomap.admm import (AdmmHyperParams, AdmmState, block_step, numpy_ops, psi_x,
+                           solve_admm, solve_halrtc, update_e, update_m_i,
+                           update_multipliers, update_n, update_pq_classical, update_x)
 from radiomap.errors import InvalidArgumentError
 from radiomap.metrics import psnr
 from radiomap.propagation import SceneSpec, generate_scene, sample_mask
@@ -178,15 +179,27 @@ def test_update_n_half_ball_scales_by_half(rng):
 
 
 def test_update_pq_identity_and_none(rng):
-    _, _, hp = random_inputs(rng)
+    """solve_admm's prox_mode "identity" runs update_pq_classical and "none"
+    keeps P and Q; an unknown mode raises before any work, even on data that
+    would fail its own check."""
+    d, mask, hp = random_inputs(rng)
     st = random_state(rng)
     p, q = update_pq_classical(st, hp)
     assert np.allclose(p, st.x + st.gam / hp.theta, atol=1e-14)
     assert np.allclose(q, st.e + st.phi / hp.beta, atol=1e-14)
-    p0, q0 = update_pq_classical(st, hp, prox_mode="none")
-    assert p0 is st.p and q0 is st.q
-    with pytest.raises(InvalidArgumentError):
-        update_pq_classical(st, hp, prox_mode="learned")
+    hp = replace(hp, max_iters=2, penalty_growth=1.0, tol=1e-300)
+    with pytest.raises(InvalidArgumentError, match="prox_mode"):
+        solve_admm(None, mask, hp, prox_mode="learned")
+    pd = project(d, mask)
+    ests = {}
+    for mode, step in (("identity", update_pq_classical), ("none", lambda st, h: (st.p, st.q))):
+        ref = AdmmState.initial(d, mask)
+        for _ in range(2):
+            ref = block_step(ref, pd, mask, hp, step, OPS)
+        res = solve_admm(d, mask, hp, prox_mode=mode)
+        assert np.array_equal(res.x, ref.x) and np.array_equal(res.e, ref.e)
+        ests[mode] = res.d_hat
+    assert not np.array_equal(ests["identity"], ests["none"])
 
 
 def test_update_pq_zero_multipliers(rng):
@@ -257,6 +270,9 @@ def test_hyperparams_validation():
     for name in ("lam", "mu", "theta", "beta", "rho", "tol"):
         with pytest.raises(InvalidArgumentError, match="finite"):
             AdmmHyperParams(**{name: float("inf")})
+    for name in ("delta", "penalty_growth", "penalty_cap"):
+        with pytest.raises(InvalidArgumentError, match=name):
+            AdmmHyperParams(**{name: float("nan")})
     # inf delta means no noise ball, inf penalty_cap means no cap
     AdmmHyperParams(delta=float("inf"), penalty_cap=float("inf"))
 
@@ -301,7 +317,7 @@ def test_solver_recovers_low_rank_plus_sparse_instance():
     assert len(res.history) <= AdmmHyperParams().max_iters
     # recorded residual matches an independent recomputation
     assert res.history[-1] == pytest.approx(
-        primal_residual(res.state, project(truth, mask)), abs=1e-10)
+        fro_norm(project(truth, mask) - res.x - res.e - res.n), abs=1e-10)
 
 
 def test_halrtc_clean_instance_and_robustness_gap():

@@ -221,6 +221,39 @@ def test_negative_seed_exits_with_its_section_code(tmp_path, capsys, command, li
     assert not out.exists()
 
 
+def test_non_finite_scene_setting_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("scene.h=16\nscene.w=16\nscene.shadow_corr=inf\n")
+    assert run("gen", "--spec", cfg, "--out", tmp_path / "scene") == 2
+    assert "shadow_corr" in capsys.readouterr().err
+    assert not (tmp_path / "scene").exists()
+
+
+@pytest.mark.parametrize("command,out", [
+    ("solve", "missing/x.rmt"),
+    ("solve", "."),
+    ("sample", "missing/x.rmm"),
+    ("export", "missing/x.pgm"),
+    ("gen", "t.rmt"),
+])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command, out):
+    t, m = tmp_path / "t.rmt", tmp_path / "m.rmm"
+    rio.write_tensor(t, np.zeros((8, 8, 1)))
+    rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
+    spec = tmp_path / "scene.cfg"
+    spec.write_text("scene.h=8\nscene.w=8\n")
+    out = tmp_path / out
+    argv = {
+        "solve": ("solve", "--method", "zero", "--tensor", t, "--mask", m, "--out", out),
+        "sample": ("sample", "--tensor", t, "--percent", 50, "--seed", 0, "--out", out),
+        "export": ("export", "--tensor", t, "--band", 0, "--format", "pgm", "--out", out),
+        "gen": ("gen", "--spec", spec, "--out", out),
+    }[command]
+    assert run(*argv) == 2
+    assert str(out) in capsys.readouterr().err
+    assert not list(tmp_path.rglob(".tmp-*.part"))
+
+
 def test_export_and_import_round_trip(scene_dir, tmp_path):
     pgm = tmp_path / "band.pgm"
     assert run("export", "--tensor", scene_dir / "ground_truth.rmt",
@@ -339,7 +372,8 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                          ("ldpl", "ldpl.d0=inf"), ("halrtc", "halrtc.rho=inf"),
                          ("rbf", "rbf.shape=inf"), ("admm", "admm.tol=inf"),
                          ("halrtc", "halrtc.tol=inf"), ("admm", "admm.rho=inf"),
-                         ("admm", "admm.lambda=inf")):
+                         ("admm", "admm.lambda=inf"), ("admm", "admm.delta=nan"),
+                         ("admm", "admm.penalty_growth=nan"), ("admm", "admm.penalty_cap=nan")):
         domain = tmp_path / "domain.cfg"
         domain.write_text(line + "\n")
         assert run("solve", "--method", method, "--tensor", t, "--mask", m,

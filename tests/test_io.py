@@ -85,7 +85,7 @@ def test_tensor_write_rejects_bad_input(tmp_path, rng):
 def test_write_failure_leaves_no_partial_file(tmp_path, rng):
     target = tmp_path / "sub"  # a directory: the final rename must fail
     target.mkdir()
-    with pytest.raises(OSError):
+    with pytest.raises(InvalidArgumentError, match="Is a directory"):
         rio.write_tensor(target, rng.random((3, 3, 1)))
     assert list(tmp_path.glob(".tmp-*")) == []
 

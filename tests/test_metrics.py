@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from radiomap.config import METHODS
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import (DEFAULT_OUTAGE_THRESHOLD, PSNR_CAP_DB, EvalReport,
-                              METHODS, cap_psnr, mask_seed, outage_error, psnr,
-                              rmse, standard_methods, sweep, zero_fill)
+                              cap_psnr, mask_seed, outage_error, psnr, rmse,
+                              standard_methods, sweep, zero_fill)
 from radiomap.propagation import sample_mask
 from radiomap.tensors import ObservationMask
 

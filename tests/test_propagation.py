@@ -306,6 +306,18 @@ def test_scene_spec_validation():
         SceneSpec.random(10, 10, 1, n_obstructions=3, seed=0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("field", ["d0", "shadow_sigma", "shadow_corr", "obstruction_depth"])
+def test_scene_settings_must_be_finite(field, value):
+    """A non-finite setting is named when the spec is built, not met later as
+    a NaN scene or a scipy traceback."""
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+        SceneSpec.random(16, 16, 3, seed=0, **{field: value})
+    if field != "obstruction_depth":
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+            LdplParams(0, 0, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # sample_mask
 

@@ -1,11 +1,10 @@
 """Unrolled solver network: block semantics, training loop, inference."""
 
-import math
-
 import numpy as np
 import pytest
 
 import radiomap.autodiff as ad
+import radiomap.shrinkage as shrinkage
 from radiomap.admm import AdmmHyperParams, solve_admm
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import psnr
@@ -22,9 +21,9 @@ def instance():
     return generate_scene(spec).ground_truth, sample_mask(24, 24, 20.0, seed=55)
 
 
-def zero_mapper_model(k_blocks=3):
+def zero_mapper_model(k_blocks=3, rho=1e-2):
     m = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=k_blocks,
-                             mapper=MapperSpec(residual=False), seed=1)
+                             mapper=MapperSpec(residual=False), rho=rho, seed=1)
     for b in m.blocks:
         for wn, bn in b.v_layers + b.w_layers:
             wn.value[...] = 0.0
@@ -32,11 +31,13 @@ def zero_mapper_model(k_blocks=3):
     return m
 
 
-def matched_hp(h, w, k_blocks):
-    """Classical hyperparameters equal to the untrained per-block scalars."""
-    return AdmmHyperParams(mu=1e-2, theta=1e-2, beta=1e-2, rho=1e-2,
-                           lam=1.0 / math.sqrt(max(h, w)), delta=1e-3,
-                           penalty_growth=1.0, max_iters=k_blocks, tol=1e-300)
+def matched_hp(model):
+    """Classical hyperparameters equal to the model's alpha, rho and (untrained,
+    so shared by every block) block scalars, one iteration per block."""
+    s = model.blocks[0].decoded_scalars()
+    return AdmmHyperParams(alpha=model.alpha, rho=model.rho, mu=s["mu"], theta=s["theta"],
+                           beta=s["beta"], lam=s["lambda"], delta=s["delta"],
+                           penalty_growth=1.0, max_iters=model.k_blocks, tol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -44,22 +45,49 @@ def matched_hp(h, w, k_blocks):
 
 def test_zero_mappers_reduce_to_classical_blocks(instance):
     truth, mask = instance
-    est = infer(zero_mapper_model(), truth, mask)
-    res = solve_admm(truth, mask, matched_hp(24, 24, 3), prox_mode="none")
+    model = zero_mapper_model()
+    est = infer(model, truth, mask)
+    res = solve_admm(truth, mask, matched_hp(model), prox_mode="none")
     assert np.abs(est - res.d_hat).max() < 1e-12
+
+
+def test_zero_mappers_reduce_to_classical_blocks_when_svt_keeps_rank(instance, monkeypatch):
+    """At rho=1 the thresholds alpha/rho are low enough that the M-step keeps
+    rank, so the reduction also covers the SVT, not only zeroed unfoldings."""
+    kept = []
+
+    def counting(svd):
+        def wrapped(m, tau):
+            u, s, vt = svd(m, tau)
+            kept.append(int(np.count_nonzero(s > tau)))
+            return u, s, vt
+        return wrapped
+
+    monkeypatch.setattr(shrinkage, "_svd", counting(shrinkage._svd))
+    monkeypatch.setattr(ad, "_svd", counting(ad._svd))
+    truth, mask = instance
+    model = zero_mapper_model(rho=1.0)
+    est = infer(model, truth, mask)
+    unrolled_ranks = kept[:]
+    res = solve_admm(truth, mask, matched_hp(model), prox_mode="none")
+    assert np.abs(est - res.d_hat).max() < 1e-12
+    assert kept == unrolled_ranks * 2 and len(unrolled_ranks) == 3 * model.k_blocks
+    assert max(unrolled_ranks) > 0
 
 
 def test_zero_mappers_single_block(instance):
     truth, mask = instance
-    est = infer(zero_mapper_model(k_blocks=1), truth, mask)
-    res = solve_admm(truth, mask, matched_hp(24, 24, 1), prox_mode="none")
+    model = zero_mapper_model(k_blocks=1)
+    est = infer(model, truth, mask)
+    res = solve_admm(truth, mask, matched_hp(model), prox_mode="none")
     assert np.abs(est - res.d_hat).max() < 1e-12
 
 
 def test_zero_mapper_psnr_close_to_identity_prox(instance):
     truth, mask = instance
-    p_zero = psnr(infer(zero_mapper_model(), truth, mask), truth)
-    res = solve_admm(truth, mask, matched_hp(24, 24, 3), prox_mode="identity")
+    model = zero_mapper_model()
+    p_zero = psnr(infer(model, truth, mask), truth)
+    res = solve_admm(truth, mask, matched_hp(model), prox_mode="identity")
     assert p_zero >= psnr(res.d_hat, truth) - 0.5
 
 
