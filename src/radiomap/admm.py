@@ -73,6 +73,14 @@ class AdmmHyperParams:
         if not self.penalty_cap >= max(self.mu, self.theta, self.beta):
             raise InvalidArgumentError(
                 f"penalty_cap must be at least every initial penalty, got {self.penalty_cap}")
+        if self.penalty_cap == np.inf and self.penalty_growth > 1.0:
+            # uncapped, the penalties reach max(mu, theta, beta) * growth**max_iters;
+            # compared in logs, and as a Python float so a huge max_iters compares exactly
+            headroom = np.log(np.finfo(np.float64).max) - np.log(max(self.mu, self.theta, self.beta))
+            if not self.max_iters < float(headroom / np.log(self.penalty_growth)):
+                raise InvalidArgumentError(
+                    f"penalty_growth={self.penalty_growth} with penalty_cap=inf overflows the "
+                    f"penalties within max_iters={self.max_iters} iterations")
 
     def resolved(self, dims) -> "AdmmHyperParams":
         """Concrete copy with lam filled in for the given (h, w, k) dims."""

@@ -1,11 +1,9 @@
 """Command line front end.
 
 Every subcommand reads/writes the binary formats from io.py, so shell
-pipelines stay bit-exact. Failures exit with a category-specific code
-and print one `category: detail` line to stderr:
-
-    0 success, 2 invalid-argument, 3 format-error,
-    4 numerical-failure, 5 config-error
+pipelines stay bit-exact. Success exits 0; a failure prints one
+`category: detail` line to stderr and exits with its code, both listed in
+errors.py.
 """
 
 from __future__ import annotations
@@ -18,13 +16,11 @@ import numpy as np
 
 from . import config as cfgmod
 from . import io as rio
-from .errors import InvalidArgumentError, RadioMapError
+from .errors import BAD_PATH_ERRORS, InvalidArgumentError, RadioMapError, reraise
 from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, outage_error, psnr, rmse,
                       standard_methods, sweep)
 from .propagation import SceneSpec, generate_scene, sample_mask
 from .unrolled import UnrolledModel, train
-
-_CATEGORY = {2: "invalid-argument", 3: "format-error", 4: "numerical-failure", 5: "config-error"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,10 +83,8 @@ def _cmd_gen(args) -> int:
     cfg = cfgmod.load_config(args.spec)
     spec = SceneSpec.random(**cfgmod.scene_kwargs(cfg))
     scene = generate_scene(spec)
-    try:
+    with reraise(InvalidArgumentError, f"cannot create directory {args.out}", BAD_PATH_ERRORS):
         os.makedirs(args.out, exist_ok=True)
-    except rio.BAD_PATH_ERRORS as exc:
-        raise InvalidArgumentError(f"cannot create directory {args.out}: {exc.strerror}") from exc
     for name, t in (("ground_truth", scene.ground_truth),
                     ("background", scene.background),
                     ("foreground", scene.foreground)):
@@ -127,12 +121,8 @@ def _cmd_solve(args) -> int:
 
 
 def _dataset_pairs(root: str):
-    try:
+    with reraise(InvalidArgumentError, f"cannot list dataset directory {root}", BAD_PATH_ERRORS):
         names = sorted(os.listdir(root))
-    except FileNotFoundError as exc:
-        raise InvalidArgumentError(f"no such dataset directory: {root}") from exc
-    except NotADirectoryError as exc:
-        raise InvalidArgumentError(f"not a directory: {root}") from exc
     pairs = []
     for name in names:
         if not name.endswith(".rmt"):
@@ -245,11 +235,12 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return 0
-        return _COMMANDS[args.command](args)
+        # an allocation numpy refuses is an input too large for this machine
+        with reraise(InvalidArgumentError, "out of memory", MemoryError):
+            return _COMMANDS[args.command](args)
     except RadioMapError as exc:
-        code = getattr(exc, "exit_code", 2)
-        print(f"{_CATEGORY.get(code, 'invalid-argument')}: {exc}", file=sys.stderr)
-        return code
+        print(f"{exc.category}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .admm import AdmmHyperParams
-from .errors import ConfigError, InvalidArgumentError
+from .errors import BAD_PATH_ERRORS, ConfigError, InvalidArgumentError, reraise
 from .unrolled import MapperSpec, TrainConfig
 
 METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
@@ -138,10 +138,8 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"unknown key {key!r} at line {ln}")
         if key in values:
             raise ConfigError(f"duplicate key {key!r} at line {ln} (first set at line {seen_line[key]})")
-        try:
+        with reraise(ConfigError, f"bad value for {key!r} at line {ln}", ValueError):
             values[key] = KEYS[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} at line {ln}: {exc}") from exc
         seen_line[key] = ln
     return Config(values)
 
@@ -150,21 +148,17 @@ def load_config(path: str | None) -> Config:
     """Parse a config file; None means no overrides."""
     if path is None:
         return Config({})
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except FileNotFoundError as exc:
-        raise InvalidArgumentError(f"no such config file: {path}") from exc
-    except IsADirectoryError as exc:
-        raise InvalidArgumentError(f"not a file: {path}") from exc
+    with reraise(InvalidArgumentError, f"cannot read {path}", BAD_PATH_ERRORS):
+        with open(path, "rb") as f:
+            raw = f.read()
+    with reraise(ConfigError, f"{path}: not UTF-8 text", UnicodeDecodeError):
+        text = raw.decode("utf-8")
     return parse_config(text)
 
 
 def _rebuild(section: str, build):
-    try:
+    with reraise(ConfigError, f"bad {section} config"):
         return build()
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"bad {section} config: {exc}") from exc
 
 
 def admm_params(cfg: Config) -> AdmmHyperParams:

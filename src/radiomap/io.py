@@ -21,10 +21,10 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError
+from .errors import BAD_PATH_ERRORS, FormatError, InvalidArgumentError, reraise
 from .metrics import cap_psnr
 from .tensors import ObservationMask, as_tensor
-from .unrolled import MapperSpec, UnrolledModel
+from .unrolled import MapperSpec, UnrolledModel, block_param_shapes
 
 TENSOR_MAGIC = b"RMT1"
 MASK_MAGIC = b"RMM1"
@@ -32,13 +32,9 @@ CHECKPOINT_MAGIC = b"RMU1"
 CHECKPOINT_VERSION = 1
 
 
-# an output path with a missing parent, or a file where a directory belongs or the reverse
-BAD_PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, FileExistsError)
-
-
 def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    try:
+    with reraise(InvalidArgumentError, f"cannot write {path}", BAD_PATH_ERRORS):
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         try:
             with os.fdopen(fd, "wb") as f:
@@ -50,18 +46,12 @@ def _atomic_write(path: str, data: bytes) -> None:
             except OSError:
                 pass
             raise
-    except BAD_PATH_ERRORS as exc:
-        raise InvalidArgumentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_bytes(path: str) -> bytes:
-    try:
+    with reraise(InvalidArgumentError, f"cannot read {path}", BAD_PATH_ERRORS):
         with open(path, "rb") as f:
             return f.read()
-    except FileNotFoundError as exc:
-        raise InvalidArgumentError(f"no such file: {path}") from exc
-    except IsADirectoryError as exc:
-        raise InvalidArgumentError(f"not a file: {path}") from exc
 
 
 class _Cursor:
@@ -194,18 +184,21 @@ def read_checkpoint(path: str):
         raise FormatError(f"{path}: mapper needs at least one layer")
     kernel = layer_recs[0][0]
     hidden = tuple(co for _, _, _, co in layer_recs[:-1])
-    try:
+    with reraise(FormatError, f"{path}: bad mapper descriptor"):
         spec = MapperSpec(hidden_channels=hidden, kernel=kernel, residual=bool(residual))
-    except InvalidArgumentError as exc:
-        raise FormatError(f"{path}: bad mapper descriptor: {exc}") from exc
     # one comparison covers the kernel sizes, the band mapping and the channel chain
     if layer_recs != [(kernel, kernel, ci, co) for ci, co in spec.layer_dims(k_bands)]:
         raise FormatError(f"{path}: layer records do not describe a {k_bands}-band mapper")
-    try:
+    # checked before create allocates anything, so a header that lies about its
+    # size costs no more time or memory than the file holds
+    implied = k_blocks * sum(8 + 8 * math.prod(s) if s else 8
+                             for s in block_param_shapes(spec, k_bands))
+    if implied != len(body) - c.off:
+        raise FormatError(f"{path}: header implies {implied} parameter bytes, "
+                          f"the body holds {len(body) - c.off}")
+    with reraise(FormatError, f"{path}: bad model header"):
         model = UnrolledModel.create(k_bands=k_bands, k_blocks=k_blocks, mapper=spec,
                                      loss_omega=loss_omega, alpha=alpha, rho=rho)
-    except InvalidArgumentError as exc:
-        raise FormatError(f"{path}: bad model header: {exc}") from exc
     for p in model.params():
         if p.value.ndim:
             nbytes = c.u64()
@@ -266,15 +259,14 @@ def import_band_csvs(out_path: str, csv_paths) -> tuple:
         raise InvalidArgumentError("need at least one band csv")
     bands = []
     for p in csv_paths:
-        raw = _read_bytes(p).decode("utf-8", errors="strict")
+        with reraise(FormatError, f"{p}: not UTF-8 text", UnicodeDecodeError):
+            raw = _read_bytes(p).decode("utf-8")
         rows = []
         for ln, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
-            try:
+            with reraise(FormatError, f"{p}: bad number on line {ln}", ValueError):
                 rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise FormatError(f"{p}: bad number on line {ln}") from exc
         if not rows:
             raise FormatError(f"{p}: empty csv")
         widths = {len(r) for r in rows}

@@ -16,7 +16,7 @@ the kept singular triplets) from here and add only the backward pass.
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, reraise
 
 
 def _check_tau(tau) -> float:
@@ -83,13 +83,9 @@ def _full_svd(m: np.ndarray):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
-    try:
+    with reraise(NumericalFailureError, f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix "
+                 f"(fro norm {np.linalg.norm(m):.3e}) with both drivers", Exception):
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    except Exception as exc:
-        raise NumericalFailureError(
-            f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix "
-            f"(fro norm {np.linalg.norm(m):.3e}) with both drivers: {exc}"
-        ) from exc
 
 
 def svt(m: np.ndarray, tau) -> np.ndarray:

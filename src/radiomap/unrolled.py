@@ -19,7 +19,7 @@ import numpy as np
 
 from . import admm
 from . import autodiff as ad
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, reraise
 from .propagation import check_seed, ldpl_interpolate
 from .tensors import ObservationMask, as_tensor, observed
 
@@ -37,11 +37,9 @@ class MapperSpec:
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise InvalidArgumentError(f"kernel must be odd and positive, got {self.kernel}")
-        try:
+        with reraise(InvalidArgumentError, "hidden_channels must be a sequence of counts, "
+                     f"got {self.hidden_channels!r}", (TypeError, ValueError)):
             channels = tuple(int(c) for c in self.hidden_channels)
-        except TypeError:
-            raise InvalidArgumentError(
-                f"hidden_channels must be a sequence of counts, got {self.hidden_channels!r}")
         if any(c <= 0 for c in channels):
             raise InvalidArgumentError(f"hidden channels must be positive, got {self.hidden_channels}")
         object.__setattr__(self, "hidden_channels", channels)
@@ -115,14 +113,14 @@ class UnrolledModel:
         # behaves like truncated classical ADMM; delta starts small but positive
         # (not the classical 0) so log-decode and the ball gradient are defined
         inits = (hp.mu, hp.theta, hp.beta, hp.lam, 1e-3)
+        layer_shapes = block_param_shapes(mapper, k_bands)[len(_SCALAR_NAMES):]
+        half = len(layer_shapes) // 2
+        v_shapes, w_shapes = layer_shapes[:half], layer_shapes[half:]
         blocks = []
         for _ in range(k_blocks):
             scalars = [ad.Node(np.asarray(math.log(v))) for v in inits]
-            blocks.append(BlockParams(
-                scalars,
-                _init_mapper(rng, mapper, k_bands),
-                _init_mapper(rng, mapper, k_bands),
-            ))
+            blocks.append(BlockParams(scalars, _init_mapper(rng, v_shapes),
+                                      _init_mapper(rng, w_shapes)))
         return cls(k_blocks, k_bands, blocks, mapper, loss_omega, hp.alpha, hp.rho)
 
     def params(self):
@@ -140,16 +138,23 @@ class UnrolledModel:
                 + [s for n, s in zip(_SCALAR_NAMES, last.scalars) if n != "log_delta"])
 
 
-def _init_mapper(rng, spec: MapperSpec, k_bands: int):
-    layers = []
-    dims = spec.layer_dims(k_bands)
+def block_param_shapes(spec: MapperSpec, k_bands: int) -> list:
+    """Shapes of one block's parameters in BlockParams.params() order: the five
+    log scalars, then weight and bias of each V mapper layer, then of each W one."""
     k = spec.kernel
-    for i, (ci, co) in enumerate(dims):
-        if i == len(dims) - 1:
-            w = rng.normal(0.0, 1e-3, (k, k, ci, co))  # near-zero output at init
+    mapper = [s for ci, co in spec.layer_dims(k_bands) for s in ((k, k, ci, co), (co,))]
+    return [()] * len(_SCALAR_NAMES) + mapper + mapper
+
+
+def _init_mapper(rng, weight_bias_shapes):
+    layers = []
+    pairs = list(zip(weight_bias_shapes[::2], weight_bias_shapes[1::2]))
+    for i, ((kh, kw, ci, co), bias) in enumerate(pairs):
+        if i == len(pairs) - 1:
+            w = rng.normal(0.0, 1e-3, (kh, kw, ci, co))  # near-zero output at init
         else:
-            w = rng.normal(0.0, math.sqrt(2.0 / (k * k * ci)), (k, k, ci, co))
-        layers.append((ad.Node(w), ad.Node(np.zeros(co))))
+            w = rng.normal(0.0, math.sqrt(2.0 / (kh * kw * ci)), (kh, kw, ci, co))
+        layers.append((ad.Node(w), ad.Node(np.zeros(bias))))
     return layers
 
 

@@ -277,6 +277,18 @@ def test_hyperparams_validation():
     AdmmHyperParams(delta=float("inf"), penalty_cap=float("inf"))
 
 
+def test_uncapped_penalty_growth_must_stay_finite():
+    inf = float("inf")
+    for growth in (inf, 1e300):
+        with pytest.raises(InvalidArgumentError, match="penalty_growth.*penalty_cap"):
+            AdmmHyperParams(penalty_growth=growth, penalty_cap=inf, max_iters=50)
+    with pytest.raises(InvalidArgumentError, match="penalty_growth.*penalty_cap"):
+        AdmmHyperParams(penalty_cap=inf, max_iters=10**400)
+    AdmmHyperParams(penalty_cap=inf)  # 1e-2 * 1.05**200 is about 173
+    AdmmHyperParams(penalty_growth=1.0, penalty_cap=inf, max_iters=10**400)
+    AdmmHyperParams(penalty_growth=1e300, max_iters=50)  # the default cap bounds it
+
+
 def test_hyperparams_lambda_resolution():
     hp = AdmmHyperParams().resolved((64, 32, 3))
     assert hp.lam == pytest.approx(1.0 / 8.0)

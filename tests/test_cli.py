@@ -4,6 +4,7 @@ and the exit code taxonomy."""
 import numpy as np
 import pytest
 
+from radiomap import cli
 from radiomap import io as rio
 from radiomap.cli import main
 from radiomap.metrics import zero_fill
@@ -274,6 +275,62 @@ def test_export_and_import_round_trip(scene_dir, tmp_path):
     assert np.allclose(back, (truth - lo) / (hi - lo), atol=1e-12)
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("sample", "--tensor"), ("solve", "--tensor"), ("solve", "--mask"), ("solve", "--config"),
+    ("solve", "--model"), ("eval", "--est"), ("eval", "--truth"), ("export", "--tensor"),
+    ("import", "--csv"), ("gen", "--spec"), ("train", "--dataset"), ("train", "--config"),
+    ("sweep", "--config"), ("sweep", "sweep.model"),
+])
+def test_input_path_through_a_regular_file_exits_2(tmp_path, capsys, command, flag):
+    t, m = tmp_path / "t.rmt", tmp_path / "m.rmm"
+    rio.write_tensor(t, np.zeros((8, 8, 1)))
+    rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
+    bad = t / "x"
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text(f"scene.h=8\nscene.w=8\nsweep.n_scenes=1\nsweep.model={bad}\n")
+    out = tmp_path / "out"
+    argv = {
+        "sample": ["sample", "--tensor", t, "--percent", 50, "--seed", 0, "--out", out],
+        "solve": ["solve", "--method", "unroll", "--tensor", t, "--mask", m, "--out", out],
+        "eval": ["eval", "--est", t, "--truth", t],
+        "export": ["export", "--tensor", t, "--band", 0, "--format", "csv", "--out", out],
+        "import": ["import", "--csv", t, "--out", out],
+        "gen": ["gen", "--spec", t, "--out", out],
+        "train": ["train", "--dataset", tmp_path, "--out", out],
+        "sweep": ["sweep", "--config", sweep_cfg, "--out", out],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = bad
+    elif flag.startswith("--"):
+        argv += [flag, bad]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-argument:") and str(bad) in err
+    assert not out.exists()
+
+
+def test_binary_file_read_as_text_exits_with_its_category(tmp_path, capsys):
+    t, m = tmp_path / "t.rmt", tmp_path / "m.rmm"
+    rio.write_tensor(t, np.full((8, 8, 1), 0.5))  # 0.5 is the bytes 00 .. 00 e0 3f
+    rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
+    assert run("solve", "--method", "zero", "--tensor", t, "--mask", m, "--config", t,
+               "--out", tmp_path / "x.rmt") == 5
+    assert capsys.readouterr().err.startswith("config-error:")
+    assert run("import", "--csv", t, "--out", tmp_path / "y.rmt") == 3
+    assert capsys.readouterr().err.startswith("format-error:")
+
+
+def test_refused_allocation_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "generate_scene", refuse)
+    spec = tmp_path / "scene.cfg"
+    spec.write_text("scene.h=8\nscene.w=8\n")
+    assert run("gen", "--spec", spec, "--out", tmp_path / "scene") == 2
+    assert capsys.readouterr().err.startswith("invalid-argument: out of memory: Unable")
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 0
     assert "radiomap" in capsys.readouterr().out
@@ -373,7 +430,11 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                          ("rbf", "rbf.shape=inf"), ("admm", "admm.tol=inf"),
                          ("halrtc", "halrtc.tol=inf"), ("admm", "admm.rho=inf"),
                          ("admm", "admm.lambda=inf"), ("admm", "admm.delta=nan"),
-                         ("admm", "admm.penalty_growth=nan"), ("admm", "admm.penalty_cap=nan")):
+                         ("admm", "admm.penalty_growth=nan"), ("admm", "admm.penalty_cap=nan"),
+                         ("admm", "admm.penalty_growth=inf\nadmm.penalty_cap=inf\n"
+                                  "admm.max_iters=50"),
+                         ("admm", "admm.penalty_growth=1e300\nadmm.penalty_cap=inf\n"
+                                  "admm.max_iters=50")):
         domain = tmp_path / "domain.cfg"
         domain.write_text(line + "\n")
         assert run("solve", "--method", method, "--tensor", t, "--mask", m,

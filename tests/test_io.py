@@ -249,6 +249,28 @@ def test_checkpoint_rejects_crc_valid_corrupt_body(tmp_path, edit):
     assert "CRC" not in str(exc.value)
 
 
+class _NoCreate:
+    @staticmethod
+    def create(**kwargs):
+        raise AssertionError("the reader built a model before checking the body size")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda body: struct.pack_into("<I", body, K_BLOCKS, 10**6),
+    # the hidden width is the first record's c_out and the second record's c_in
+    lambda body: struct.pack_into("<IIIIIIII", body, REC0, 3, 3, 2, 2**31, 3, 3, 2**31, 2),
+], ids=["k_blocks", "hidden_width"])
+def test_checkpoint_body_size_is_checked_before_the_model_is_built(tmp_path, monkeypatch, edit):
+    path = tmp_path / "g.rmu"
+    rio.write_checkpoint(path, golden_model())
+    body = bytearray(path.read_bytes()[:-4])
+    edit(body)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    monkeypatch.setattr(rio, "UnrolledModel", _NoCreate)
+    with pytest.raises(FormatError, match="parameter bytes"):
+        rio.read_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -342,3 +364,10 @@ def test_masks_and_tensors_use_distinct_magics(tmp_path, rng):
     rio.write_mask(mpath, mask)
     with pytest.raises(FormatError):
         rio.read_tensor(mpath)
+
+
+def test_read_through_a_regular_file_is_invalid_argument(tmp_path):
+    f = tmp_path / "f"
+    f.write_bytes(b"")
+    with pytest.raises(InvalidArgumentError, match="Not a directory"):
+        rio.read_tensor(f / "x.rmt")
