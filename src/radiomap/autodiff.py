@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over float64 ndarrays.
 
 The op set is fixed and sized for the unrolled solver: tensor arithmetic,
-scalar decode through exp, 3x3 same-padding convolution, the two shrinkage
-operators, unfold/fold, masked projection, the noise-ball rescaling, and the
-two training losses. Anything else is a deliberate build-time error; there is
-no general broadcasting.
+scalar decode through exp, same-padding convolution with odd kernels, the
+two shrinkage operators, unfold/fold, masked projection, the noise-ball
+rescaling, and the two training losses. Anything else is a deliberate
+build-time error; there is no general broadcasting.
 
 The shrinkage, projection and structure ops take their forward values from
 the numpy kernels in `shrinkage` and `tensors` and add only the backward
@@ -99,9 +99,12 @@ def as_node(x) -> Node:
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
+    # the first gradient is copied, not zero-filled and added to: one g is
+    # often handed to several parents, and later sums go into grad in place
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -224,8 +227,16 @@ def exp(s) -> Node:
 def conv2d(x, w) -> Node:
     """Same-padding stride-1 convolution of an (h, w, c_in) map.
 
-    Kernel layout (kh, kw, c_in, c_out), odd kh and kw. Implemented as one
-    shifted matmul per tap, which keeps both passes in BLAS.
+    Kernel layout (kh, kw, c_in, c_out), odd kh and kw. The input is
+    zero-padded to (h + kh, w + kw - 1, c_in), one spare row past the usual
+    same padding, and flattened to rows of c_in. Output position p of tap
+    (dy, dx) then reads flat row p + dy*wp + dx, with wp the padded width, so
+    every tap is the contiguous row range flat[o:o + h*wp] with
+    o = dy*wp + dx and goes to BLAS without a copy. The product is computed
+    over the padded width: its last wp - w columns wrap across rows, so they
+    are cropped from the output and enter the backward pass as zero gradient.
+    No (h*w) x (kh*kw*c_in) patch matrix is built: it would be a strided copy
+    about as costly as the larger matmul saves, and held for the backward pass.
     """
     x, w = as_node(x), as_node(w)
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -239,26 +250,32 @@ def conv2d(x, w) -> Node:
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidArgumentError(f"kernel dims must be odd, got {kh}x{kw}")
     ph, pw = kh // 2, kw // 2
-    pad = np.zeros((h + 2 * ph, wd + 2 * pw, ci))
+    wp = wd + 2 * pw
+    n = h * wp
+    pad = np.zeros((h + 2 * ph + 1, wp, ci))
     pad[ph:ph + h, pw:pw + wd] = x.value
-    out = np.zeros((h * wd, co))
+    flat = pad.reshape(-1, ci)
+    out = np.zeros((n, co))
     for dy in range(kh):
         for dx in range(kw):
-            out += pad[dy:dy + h, dx:dx + wd].reshape(h * wd, ci) @ w.value[dy, dx]
+            o = dy * wp + dx
+            out += flat[o:o + n] @ w.value[dy, dx]
 
     def bw(g):
-        gf = g.reshape(h * wd, co)
-        dpad = np.zeros_like(pad)
-        dw = np.zeros_like(w.value)
+        gx = np.zeros((h, wp, co))
+        gx[:, :wd] = g
+        gx = gx.reshape(n, co)
+        dflat = np.zeros_like(flat)
+        dw = np.empty_like(w.value)
         for dy in range(kh):
             for dx in range(kw):
-                patch = pad[dy:dy + h, dx:dx + wd].reshape(h * wd, ci)
-                dw[dy, dx] = patch.T @ gf
-                dpad[dy:dy + h, dx:dx + wd] += (gf @ w.value[dy, dx].T).reshape(h, wd, ci)
-        _acc(x, dpad[ph:ph + h, pw:pw + wd])
+                o = dy * wp + dx
+                dw[dy, dx] = flat[o:o + n].T @ gx
+                dflat[o:o + n] += gx @ w.value[dy, dx].T
+        _acc(x, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd])
         _acc(w, dw)
 
-    return Node(out.reshape(h, wd, co), (x, w), bw)
+    return Node(out.reshape(h, wp, co)[:, :wd], (x, w), bw)
 
 
 def bias_add(x, b) -> Node:

@@ -84,6 +84,20 @@ def test_grad_reused_node_accumulates(rng):
     fd_check(lambda x: red(ad.add(x, x)), [a])
 
 
+def test_grad_buffers_never_shared(rng):
+    """One upstream gradient goes to both parents of add/sub; each parent must
+    get its own buffer, or a later in-place sum into one leaks into the other."""
+    a = rng.normal(size=DIMS)
+    b = rng.normal(size=DIMS)
+    red = loss_against(rng.normal(size=DIMS))
+    fd_check(lambda x, y: red(ad.add(ad.add(x, y), x)), [a, b])
+    fd_check(lambda x, y: red(ad.sub(ad.add(x, y), ad.add(y, y))), [a, b])
+    x, y = ad.Node(a), ad.Node(b)
+    ad.backward(red(ad.add(x, y)))
+    assert x.grad is not y.grad
+    assert not np.shares_memory(x.grad, y.grad)
+
+
 # ---------------------------------------------------------------------------
 # neural ops
 
@@ -91,6 +105,38 @@ def test_grad_conv2d(rng):
     x = rng.normal(size=(5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 3)) * 0.5
     red = loss_against(rng.normal(size=(5, 5, 3)))
+    fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
+
+
+def conv2d_reference(x, w):
+    """Direct same-padding convolution, one output pixel and tap at a time."""
+    h, wd, _ = x.shape
+    kh, kw, _, co = w.shape
+    out = np.zeros((h, wd, co))
+    for i in range(h):
+        for j in range(wd):
+            for dy in range(kh):
+                for dx in range(kw):
+                    r, c = i + dy - kh // 2, j + dx - kw // 2
+                    if 0 <= r < h and 0 <= c < wd:
+                        out[i, j] += x[r, c] @ w[dy, dx]
+    return out
+
+
+@pytest.mark.parametrize("hw,kernel", [
+    ((1, 7), (3, 3)), ((6, 1), (3, 3)), ((2, 2), (5, 5)), ((1, 1), (3, 3)),
+    ((5, 7), (1, 3)), ((5, 7), (3, 1)), ((4, 6), (3, 5)), ((8, 8), (5, 3)),
+], ids=["one-row", "one-column", "map-smaller-than-kernel", "1x1-map",
+        "5x7-k1x3", "5x7-k3x1", "4x6-k3x5", "8x8-k5x3"])
+def test_conv2d_edge_shapes_match_direct_loops(rng, hw, kernel):
+    """Shapes where the padded-row tap offsets could read across a row end or
+    past the buffer: thin maps, maps smaller than the kernel, non-square kernels."""
+    x = rng.normal(size=hw + (2,))
+    w = rng.normal(size=kernel + (2, 3)) * 0.5
+    out = ad.conv2d(ad.Node(x), ad.Node(w)).value
+    assert out.shape == hw + (3,)
+    assert np.allclose(out, conv2d_reference(x, w), rtol=0.0, atol=1e-12)
+    red = loss_against(rng.normal(size=hw + (3,)))
     fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
 
 

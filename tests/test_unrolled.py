@@ -280,6 +280,28 @@ def test_train_empty_dataset_raises():
         train(small_model(), [])
 
 
+@pytest.mark.parametrize("mapper", [MapperSpec(kernel=1, hidden_channels=(4,)),
+                                    MapperSpec(kernel=5, hidden_channels=(4, 2))],
+                         ids=["k1-h4", "k5-h4x2"])
+def test_training_with_non_default_mapper_on_non_square_grid(mapper):
+    """The conv tap layout depends on kernel and map width, so train through
+    it on a 16x12 grid with kernels other than the default 3x3."""
+    ds = []
+    for i in range(3):
+        spec = SceneSpec.random(16, 12, 3, n_transmitters=1, n_obstructions=3,
+                                obstruction_depth=10.0, seed=80 + i)
+        # large amplitude keeps the sparse path, and so the W mappers, active
+        ds.append((generate_scene(spec).ground_truth * 100.0,
+                   sample_mask(16, 12, 30.0, seed=90 + i)))
+    model = UnrolledModel.create(h=16, w=12, k_bands=3, k_blocks=3, mapper=mapper, seed=4)
+    before = [p.value.copy() for p in model.live_params()]
+    _, hist = train(model, ds, TrainConfig(epochs=2, lr=1e-2, seed=0))
+    assert len(hist["train"]) == 4 and np.all(np.isfinite(hist["train"] + hist["val"]))
+    assert all(not np.array_equal(b, p.value) for b, p in zip(before, model.live_params()))
+    d, mask = ds[0]
+    assert np.array_equal(infer(model, d, mask), forward(model, d, mask)[2].value)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 
