@@ -23,8 +23,9 @@ import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm as _dgemm
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .shrinkage import _check_tau, _shrink, _svd
 from .shrinkage import scale_to_ball as _scale_to_ball
 from .tensors import ObservationMask
@@ -224,6 +225,19 @@ def exp(s) -> Node:
 # ---------------------------------------------------------------------------
 # neural ops
 
+def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """c += a @ b inside BLAS: one dgemm call with beta = 1, no temporary.
+
+    c must be F-contiguous. f2py hands BLAS a copy of any other c, so the sum
+    would land in that copy and be lost; the identity check makes that fail
+    loudly instead of silently dropping the tap.
+    """
+    if _dgemm(1.0, a, b, 1.0, c, overwrite_c=True) is not c:
+        raise NumericalFailureError(
+            f"dgemm did not accumulate in place into a {c.shape} array "
+            f"(F-contiguous: {c.flags.f_contiguous})")
+
+
 def conv2d(x, w) -> Node:
     """Same-padding stride-1 convolution of an (h, w, c_in) map.
 
@@ -237,6 +251,12 @@ def conv2d(x, w) -> Node:
     are cropped from the output and enter the backward pass as zero gradient.
     No (h*w) x (kh*kw*c_in) patch matrix is built: it would be a strided copy
     about as costly as the larger matmul saves, and held for the backward pass.
+
+    Each tap is summed into its output by one dgemm with beta = 1
+    (C <- A @ B + C), the forward into out and the backward into dflat, so no
+    per-tap product is allocated and added afterwards. BLAS is column-major:
+    the accumulator is passed as the transpose of a C-contiguous row range,
+    which is F-contiguous, and a C-ordered one would be copied (_gemm_acc).
     """
     x, w = as_node(x), as_node(w)
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -256,22 +276,23 @@ def conv2d(x, w) -> Node:
     pad[ph:ph + h, pw:pw + wd] = x.value
     flat = pad.reshape(-1, ci)
     out = np.zeros((n, co))
+    out_t = out.T
     for dy in range(kh):
         for dx in range(kw):
             o = dy * wp + dx
-            out += flat[o:o + n] @ w.value[dy, dx]
+            _gemm_acc(w.value[dy, dx].T, flat[o:o + n].T, out_t)
 
     def bw(g):
         gx = np.zeros((h, wp, co))
         gx[:, :wd] = g
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
-        dw = np.empty_like(w.value)
+        dw = np.empty(w.value.shape)
         for dy in range(kh):
             for dx in range(kw):
                 o = dy * wp + dx
-                dw[dy, dx] = flat[o:o + n].T @ gx
-                dflat[o:o + n] += gx @ w.value[dy, dx].T
+                np.matmul(flat[o:o + n].T, gx, out=dw[dy, dx])
+                _gemm_acc(w.value[dy, dx], gx.T, dflat[o:o + n].T)
         _acc(x, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd])
         _acc(w, dw)
 
@@ -299,7 +320,7 @@ def relu(x) -> Node:
     def bw(g):
         _acc(x, g * on)
 
-    return Node(np.where(on, x.value, 0.0), (x,), bw)
+    return Node(np.maximum(x.value, 0.0), (x,), bw)
 
 
 # ---------------------------------------------------------------------------

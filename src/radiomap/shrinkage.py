@@ -7,7 +7,9 @@ projection onto the Frobenius ball of radius r.
 
 svt computes only the singular triplets it keeps, the ones above tau (see
 _svd): from the eigenpairs of the small-side Gram matrix when that is
-accurate, from a full LAPACK SVD otherwise.
+accurate, from a full LAPACK SVD otherwise. When ||m||_F <= tau it keeps
+nothing and skips the eigensolver: s_max <= ||m||_F, so no singular value
+can exceed tau, and the Gram matrix's trace already gives ||m||_F**2.
 
 The autodiff ops of the same names take their forward values (for svt,
 the kept singular triplets) from here and add only the backward pass.
@@ -42,6 +44,8 @@ def _svd(m: np.ndarray, tau: float):
     (a = m, or m.T when m is tall) with eigenvalue above tau**2: s = sqrt(w)
     and the right vectors (u.T @ a) / s. Only the kept eigenvectors are
     mapped back, and eigh of the small side costs a fraction of gesdd on m.
+    When trace(a @ a.T) = ||m||_F**2 <= tau**2 the result is empty without
+    any eigh: s_max <= ||m||_F <= tau, so the shortcut is exact.
     The full SVD (LAPACK gesdd, then gesvd) runs instead when tau is 0, when
     the Gram matrix is not finite or eigh fails, or when s_max / tau exceeds
     GRAM_MAX_SPREAD; its triplets are cut to those above tau. Non-finite
@@ -63,6 +67,8 @@ def _gram_svd(m: np.ndarray, tau: float):
     # SVD, which raises or copes; eigh may return NaNs for it without raising
     if not np.all(np.isfinite(g)):
         return None
+    if np.trace(g) <= tau * tau:
+        return np.empty((m.shape[0], 0)), np.empty(0), np.empty((0, m.shape[1]))
     try:
         w, u = np.linalg.eigh(g)  # ascending
     except np.linalg.LinAlgError:

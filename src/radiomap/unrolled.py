@@ -197,9 +197,12 @@ def forward(model: UnrolledModel, d, mask: ObservationMask):
     for k, blk in enumerate(model.blocks):
         state = admm.block_step(state, pd, mask, _block_hp(model, blk),
                                 _learned_pq(model, blk), ad)
-        if not np.all(np.isfinite(state.x.value)):
-            raise NumericalFailureError(
-                f"block {k} produced non-finite X; scalars {blk.decoded_scalars()}")
+        # E too: a non-finite Q from block k-1 reaches E in block k while X
+        # stays finite, and d_hat = X + E
+        for name, v in (("X", state.x), ("E", state.e)):
+            if not np.all(np.isfinite(v.value)):
+                raise NumericalFailureError(
+                    f"block {k} produced non-finite {name}; scalars {blk.decoded_scalars()}")
         residuals.append(float(np.linalg.norm(
             np.where(on, state.x.value + state.e.value + state.n.value - d, 0.0))))
     return state.x, state.e, state.x + state.e, residuals

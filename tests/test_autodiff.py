@@ -147,6 +147,42 @@ def test_conv2d_one_by_one_identity(rng):
     assert np.allclose(out.value, x, atol=1e-14)
 
 
+def test_conv2d_non_contiguous_values_are_read_not_written(rng):
+    """Taps accumulate in place inside BLAS, so a strided or Fortran-ordered x
+    or w must still give the reference output and exact gradients, and the
+    values themselves must come back bitwise unchanged."""
+    base_x = rng.normal(size=(10, 7, 4))
+    base_w = rng.normal(size=(3, 3, 4, 3)) * 0.5
+    red = loss_against(rng.normal(size=(5, 7, 3)))
+    for x, w in [(base_x[::2, :, ::2], base_w[:, :, ::2]),
+                 (np.asfortranarray(base_x[:5, :, :2]), np.asfortranarray(base_w[:, :, :2]))]:
+        assert not x.flags.c_contiguous and not w.flags.c_contiguous
+        x0, w0 = x.copy(), w.copy()
+        xn, wn = ad.Node(x), ad.Node(w)
+        out = ad.conv2d(xn, wn)
+        assert np.allclose(out.value, conv2d_reference(x0, w0), rtol=0.0, atol=1e-12)
+        ad.backward(red(out))
+        assert np.array_equal(xn.value, x0) and np.array_equal(wn.value, w0)
+        fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
+
+
+def test_grad_conv2d_input_shared_by_two_convs(rng):
+    x = rng.normal(size=(5, 6, 2))
+    w1 = rng.normal(size=(3, 3, 2, 3)) * 0.5
+    w2 = rng.normal(size=(1, 3, 2, 3)) * 0.5
+    red = loss_against(rng.normal(size=(5, 6, 3)))
+    fd_check(lambda xn, an, bn: red(ad.add(ad.conv2d(xn, an), ad.conv2d(xn, bn))), [x, w1, w2])
+
+
+def test_conv2d_raises_when_blas_accumulates_into_a_copy(rng, monkeypatch):
+    """f2py copies a C-ordered accumulator, which would drop every tap's sum."""
+    dgemm = ad._dgemm
+    monkeypatch.setattr(ad, "_dgemm", lambda alpha, a, b, beta, c, overwrite_c:
+                        dgemm(alpha, a, b, beta, np.ascontiguousarray(c), overwrite_c=overwrite_c))
+    with pytest.raises(NumericalFailureError, match="in place"):
+        ad.conv2d(ad.Node(rng.normal(size=(4, 5, 2))), ad.Node(rng.normal(size=(3, 3, 2, 3))))
+
+
 def test_grad_bias_add(rng):
     x = rng.normal(size=DIMS)
     b = rng.normal(size=(2,))
@@ -213,6 +249,20 @@ def test_forward_matches_shrinkage_kernels(rng):
     assert np.array_equal(shrinkage.scale_to_ball(x, on), x)
     assert np.allclose(shrinkage.scale_to_ball(x, 0.5 * on), 0.5 * x, atol=1e-15)
     assert not shrinkage.scale_to_ball(np.zeros(DIMS), 0.0).any()
+
+
+@pytest.mark.parametrize("spectrum,tau", [(0.2, 1.0), (0.9, 1.0)],
+                         ids=["fro-below-tau", "s_max-below-tau-below-fro"])
+def test_svt_keeping_no_rank_gives_zero_output_and_gradients(rng, spectrum, tau):
+    u, _ = np.linalg.qr(rng.normal(size=(6, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(15, 4)))
+    m = (u * spectrum) @ v.T
+    mn, tn = ad.Node(m), ad.Node(np.asarray(tau))
+    out = ad.svt(mn, tn)
+    assert out.shape == m.shape and not out.value.any()
+    ad.backward(ad.mse_loss(out, rng.normal(size=m.shape)))
+    assert mn.grad.shape == m.shape and not mn.grad.any()
+    assert float(tn.grad) == 0.0
 
 
 @pytest.mark.parametrize("shape", [(6, 15), (15, 6), (3, 200)], ids=["wide", "tall", "3xN"])

@@ -131,7 +131,7 @@ def with_spectrum(rng, shape, s):
 
 
 # name -> (singular values for rank r, tau, whether the full SVD must run);
-# s_max is 1 except for the zero matrix
+# s_max is 1 except for the zero matrix and the two flat spectra below
 SVT_CASES = {
     "mid": (lambda r: np.logspace(0, -2, r), 0.1, False),
     "tau-zero": (lambda r: np.logspace(0, -2, r), 0.0, True),
@@ -143,6 +143,12 @@ SVT_CASES = {
     "repeated-all-kept": (lambda r: np.r_[1.0, 1.0, 1.0, np.full(r - 3, 0.25)], 0.1, False),
     "spread-below-limit": (lambda r: np.logspace(0, -8, r), 2.0 / GRAM_MAX_SPREAD, False),
     "spread-above-limit": (lambda r: np.logspace(0, -8, r), 0.5 / GRAM_MAX_SPREAD, True),
+    # ||m||_F = 1 just below tau: rank 0 without an eigensolver call
+    "fro-below-tau": (lambda r: np.full(r, r ** -0.5), 1.0 + 1e-9, False),
+    # s_max < tau < ||m||_F: eigh runs and still keeps rank 0
+    "s_max-below-tau-below-fro": (lambda r: np.full(r, 0.9), 1.0, False),
+    # tau < s_max = ||m||_F: the one triplet is kept, so the shortcut must not fire
+    "rank-one-just-above-tau": (lambda r: np.r_[1.0, np.zeros(r - 1)], 0.99, False),
 }
 
 
@@ -161,6 +167,18 @@ def test_svt_matches_gesdd_reference(rng, monkeypatch, shape, case):
     u, s, vt = shrinkage._svd(m, tau)
     assert np.all(s > tau) and np.all(np.diff(s) <= 0)
     assert u.shape == (shape[0], s.size) and vt.shape == (s.size, shape[1])
+
+
+@pytest.mark.parametrize("case,eigh_calls", [("fro-below-tau", 0), ("s_max-below-tau-below-fro", 1)])
+def test_svt_skips_eigh_exactly_when_fro_norm_is_at_most_tau(rng, monkeypatch, case, eigh_calls):
+    spectrum, tau, _ = SVT_CASES[case]
+    m = with_spectrum(rng, (8, 24), spectrum(8))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g) or eigh(g))
+    u, s, vt = shrinkage._svd(m, tau)
+    assert len(calls) == eigh_calls
+    assert u.shape == (8, 0) and s.shape == (0,) and vt.shape == (0, 24)
 
 
 def test_threshold_validation(rng):

@@ -275,6 +275,17 @@ def test_training_divergence_raises():
             train(small_model(), small_dataset(1), TrainConfig(epochs=50, lr=1e6, seed=0))
 
 
+def test_non_finite_e_raises_naming_its_block():
+    """An infinite W-mapper output (Q) in block K-1 reaches E in block K while
+    X stays finite, so forward must check E as well as X."""
+    model = small_model(k_blocks=3)
+    model.blocks[-2].w_layers[-1][1].value[...] = np.inf
+    d, mask = small_dataset(1)[0]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailureError, match="block 2 produced non-finite E"):
+            infer(model, d, mask)
+
+
 def test_train_empty_dataset_raises():
     with pytest.raises(InvalidArgumentError):
         train(small_model(), [])
