@@ -12,9 +12,13 @@ pass. Node supports + - * /, with * and / defined only for a 0-d scalar
 factor or divisor (smul and recip), so update formulas written with
 operators run on ndarrays and Nodes alike.
 
-Gradients accumulate into Node.grad during backward(). Graph construction can
-be switched off with no_grad(), which shares the forward kernels but records
-nothing, so inference costs no graph memory.
+Gradients accumulate into Node.grad during backward(). Only leaves keep
+theirs: an interior node's gradient is dropped as soon as its backward
+closure has passed it on, so after backward() every interior grad is None.
+The graph's forward values, and what the closures keep for the backward,
+live until the root is dropped. Graph construction can be switched off with
+no_grad(), which shares the forward kernels but records nothing, so
+inference costs no graph memory.
 """
 
 from __future__ import annotations
@@ -121,7 +125,14 @@ def _scalar(a: Node, op: str) -> None:
 
 
 def backward(root: Node) -> None:
-    """Reverse-accumulate d(root)/d(leaf) into every reachable Node.grad."""
+    """Reverse-accumulate d(root)/d(leaf) into the grad of every reachable leaf.
+
+    An interior node's grad lives only until its closure has run: reverse
+    topological order completes it before that, and the closure has handed
+    it to the parents after, so it is set back to None there. Leaves keep
+    their grad. parents and the closures stay, so the graph can still be
+    walked after backward returns.
+    """
     if root.value.ndim != 0:
         raise InvalidArgumentError(f"backward root must be scalar, got shape {root.value.shape}")
     order: list[Node] = []
@@ -142,6 +153,7 @@ def backward(root: Node) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def zero_grads(nodes) -> None:

@@ -137,6 +137,7 @@ def _dataset_pairs(root: str):
 
 
 def _cmd_train(args) -> int:
+    rio.check_out_path(args.out)
     cfg = cfgmod.load_config(args.config)
     dataset = [(rio.read_tensor(tp), rio.read_mask(mp)) for tp, mp in _dataset_pairs(args.dataset)]
     h, w, k = dataset[0][0].shape
@@ -168,6 +169,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    rio.check_out_path(args.out)
     cfg = cfgmod.load_config(args.config)
     n_scenes = cfg.get("sweep.n_scenes", 2)
     if n_scenes < 1:

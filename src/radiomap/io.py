@@ -13,8 +13,10 @@ leaves a truncated artifact behind.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import struct
 import tempfile
 import zlib
@@ -46,6 +48,17 @@ def _atomic_write(path: str, data: bytes) -> None:
             except OSError:
                 pass
             raise
+
+
+def check_out_path(path: str) -> None:
+    """Fail now, as _atomic_write would fail later, when path's directory is
+    missing or not a directory, or path is a directory; commands that run
+    long call it before their work starts."""
+    with reraise(InvalidArgumentError, f"cannot write {path}", BAD_PATH_ERRORS):
+        if not stat.S_ISDIR(os.stat(os.path.dirname(os.path.abspath(path))).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _read_bytes(path: str) -> bytes:

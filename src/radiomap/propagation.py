@@ -25,9 +25,13 @@ BAND_LOSS_FACTOR = 0.05
 REFERENCE_RANGE = 40.0
 N_EXP_BOUNDS = (1.5, 6.0)
 
-# Largest n_obs x n_obs float64 kernel rbf_interpolate will build; its
-# Cholesky factor takes as much again.
+# Largest n_obs x n_obs float64 kernel rbf_interpolate will build. The
+# kernel is factored in its own buffer, so this is the whole n x n footprint.
 RBF_MAX_KERNEL_BYTES = 2**30
+
+# Elements of the row block of column factors multiplied into the kernel at
+# once (1 MiB): small next to the kernel, large enough to amortize the loop.
+_RBF_BLOCK_ELEMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -323,19 +327,34 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     # exp(-(dr^2 + dc^2)/s^2) = exp(-dr^2/s^2) * exp(-dc^2/s^2)
     er = np.exp(-(np.arange(h, dtype=np.float64)[:, None] - rr) ** 2 / shape_param**2)
     ec = np.exp(-(np.arange(w, dtype=np.float64)[:, None] - cc) ** 2 / shape_param**2)
-    kmat = er[rr] * ec[cc]
+
+    def kernel():
+        kmat = er[rr]
+        step = max(1, _RBF_BLOCK_ELEMS // n_obs)
+        for i in range(0, n_obs, step):
+            kmat[i:i + step] *= ec[cc[i:i + step]]
+        return kmat
+
+    # the kernel is exactly symmetric, so its transpose is the same matrix in
+    # the F order LAPACK factors in place: the factor overwrites the kernel
+    kmat = kernel()
+    # the entries are positive, so the 1-norm is the largest column sum
+    anorm = kmat.sum(axis=0).max()
     try:
-        factor = cho_factor(kmat, lower=True, check_finite=False)
+        chol, _ = cho_factor(kmat.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         ridged = True
     else:
-        # the entries are positive, so the 1-norm is the largest column sum
-        rcond, _ = dpocon(factor[0], kmat.sum(axis=0).max(), uplo="L")
+        rcond, _ = dpocon(chol, anorm, uplo="L")
         ridged = rcond < 1e-12
     if ridged:
+        # built again, since the factorization overwrote it; the old buffer
+        # is released first so that two kernels never coexist
+        kmat = chol = None
+        kmat = kernel()
         kmat[np.diag_indices(n_obs)] += 1e-8
-        factor = cho_factor(kmat, lower=True, check_finite=False)
-    weights = cho_solve(factor, pd[rr, cc, :], check_finite=False)  # (n_obs, k)
+        chol, _ = cho_factor(kmat.T, lower=True, overwrite_a=True, check_finite=False)
+    weights = cho_solve((chol, True), pd[rr, cc, :], check_finite=False)  # (n_obs, k)
 
     # est[:, :, b] = er @ diag(weights[:, b]) @ ec.T
     est = (er * weights.T[:, None, :]) @ ec.T

@@ -224,12 +224,35 @@ def infer(model: UnrolledModel, d, mask: ObservationMask) -> np.ndarray:
     return d_hat.value
 
 
+def _train_step(model: UnrolledModel, params, state: ad.AdamState, d, mask,
+                ldpl_map, lr: float, sample: int) -> float:
+    """One forward, backward and Adam update on one sample; returns its loss.
+
+    The step's graph is referenced only from this frame, so it is freed when
+    the step returns, before the next step's forward builds another.
+    """
+    _, _, d_hat, _ = forward(model, d, mask)
+    step_loss = loss(d_hat, d, ldpl_map, model.loss_omega)
+    lv = float(step_loss.value)
+    if not np.isfinite(lv):
+        raise NumericalFailureError(
+            f"training diverged on sample {sample}: loss {lv}; block scalars "
+            f"{[b.decoded_scalars() for b in model.blocks]}")
+    ad.zero_grads(params)
+    ad.backward(step_loss)
+    ad.adam_step(params, [p.grad for p in params], state, lr=lr)
+    return lv
+
+
 def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     """Adam training, one gradient step per sample (batch size 1).
 
     dataset: sequence of (d_full, mask) pairs. Returns (model, history) where
     history carries per-step training losses, per-epoch validation losses, and
-    the best-so-far validation curve.
+    the best-so-far validation curve. One step's graph is alive at a time:
+    each step's graph is dropped when the step ends, and backward keeps
+    gradients only on leaves, so training memory is one forward's values
+    plus one backward's working gradients, whatever the number of steps.
     """
     cfg = cfg or TrainConfig()
     pairs = [(as_tensor(d), mask) for d, mask in dataset]
@@ -254,18 +277,8 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
         for j in rng.permutation(len(train_idx)):
             i = train_idx[j]
             d, mask = pairs[i]
-            _, _, d_hat, _ = forward(model, d, mask)
-            step_loss = loss(d_hat, d, ldpl_maps[i], model.loss_omega)
-            lv = float(step_loss.value)
-            if not np.isfinite(lv):
-                raise NumericalFailureError(
-                    f"training diverged on sample {i}: loss {lv}; block scalars "
-                    f"{[b.decoded_scalars() for b in model.blocks]}")
-            ad.zero_grads(params)
-            ad.backward(step_loss)
-            grads = [p.grad for p in params]
-            ad.adam_step(params, grads, state, lr=cfg.lr)
-            history["train"].append(lv)
+            history["train"].append(
+                _train_step(model, params, state, d, mask, ldpl_maps[i], cfg.lr, i))
         if val_idx:
             vl = 0.0
             for i in val_idx:

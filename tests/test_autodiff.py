@@ -379,6 +379,39 @@ def test_backward_linear_in_root_scale(rng):
     assert np.allclose(node2.grad, 2.0 * g1, atol=1e-14)
 
 
+def test_backward_keeps_gradients_only_on_leaves(rng):
+    """Every interior gradient is released once its closure has passed it on;
+    the leaves keep theirs, and those are still the exact gradients."""
+    x = rng.normal(size=DIMS)
+    w = rng.normal(size=(3, 3, 2, 2)) * 0.3
+    b = rng.normal(size=(2,)) * 0.1
+    s = np.asarray(0.7)
+    c = rng.normal(size=DIMS)
+
+    def build(xn, wn, bn, sn):
+        y = ad.bias_add(ad.conv2d(xn, wn), bn)
+        # tau above ||y||_F: the svt keeps no rank, as nearly all of them do in
+        # training, and its fixed-pattern gradient (zero) is then exact
+        m = ad.svt(ad.unfold(y, 1), ad.Node(np.asarray(1e3)))
+        y = ad.smul(sn, ad.relu(ad.add(ad.fold(m, 1, DIMS), y)))
+        return ad.mse_loss(y, ad.Node(c))
+
+    fd_check(build, [x, w, b, s], tol=5e-4)
+    root = build(*(ad.Node(v) for v in (x, w, b, s)))
+    ad.backward(root)
+    nodes, stack = {}, [root]
+    while stack:
+        n = stack.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            stack.extend(n.parents)
+    interior = [n for n in nodes.values() if n._backward is not None]
+    leaves = [n for n in nodes.values() if n._backward is None]
+    assert len(interior) == 9 and len(leaves) == 6
+    assert all(n.grad is None for n in interior)
+    assert all(n.grad is not None and n.grad.shape == n.value.shape for n in leaves)
+
+
 def test_zero_grads(rng):
     n = ad.Node(rng.normal(size=DIMS))
     loss = ad.mse_loss(n, ad.Node(np.zeros(DIMS)))

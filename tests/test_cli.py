@@ -255,6 +255,29 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command, out):
     assert not list(tmp_path.rglob(".tmp-*.part"))
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("out", ["missing/x.out", "file.txt/x.out", "."],
+                         ids=["missing-dir", "dir-is-a-file", "out-is-a-dir"])
+def test_long_command_checks_out_path_before_working(tmp_path, capsys, monkeypatch,
+                                                     command, out):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} started before --out was checked")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(cli, "sweep", never)
+    root = make_dataset(tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    (tmp_path / "file.txt").write_text("not a directory\n")
+    out = tmp_path / out
+    argv = {"train": ("train", "--dataset", root, "--out", out),
+            "sweep": ("sweep", "--config", cfg, "--out", out)}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*argv) == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_export_and_import_round_trip(scene_dir, tmp_path):
     pgm = tmp_path / "band.pgm"
     assert run("export", "--tensor", scene_dir / "ground_truth.rmt",

@@ -256,6 +256,23 @@ def test_rbf_kernel_memory_guard():
     assert peak < 16 * d.nbytes
 
 
+@pytest.mark.parametrize("shape_param, ridged", [(3.0, False), (12.0, True)],
+                         ids=["plain", "ridged"])
+def test_rbf_kernel_is_built_and_factored_in_one_buffer(rng, shape_param, ridged):
+    """The n x n kernel is the call's whole quadratic footprint: it is factored
+    in place, with no second n x n array for a product, copy or ridged kernel."""
+    d = rng.random((64, 64, 3))
+    mask = sample_mask(64, 64, 50.0, seed=2)
+    tracemalloc.start()
+    try:
+        fit = rbf_interpolate(d, mask, shape_param=shape_param)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.ridged == ridged
+    assert peak < 1.5 * 8 * mask.count**2
+
+
 # ---------------------------------------------------------------------------
 # scene generator
 

@@ -1,5 +1,7 @@
 """Unrolled solver network: block semantics, training loop, inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,37 @@ def test_training_improves_data_fidelity():
     fid0 = fidelity(small_model())
     model, _ = train(small_model(), ds, TrainConfig(epochs=60, lr=1e-3, seed=0))
     assert fidelity(model) < fid0
+
+
+def test_train_holds_one_graph_at_a_time():
+    """Four training steps peak at little more than one step's graph: each
+    step's graph is dropped before the next forward, and backward releases
+    every interior gradient once it has been passed on."""
+    ds = small_dataset(5)
+    cfg = TrainConfig(epochs=1, lr=1e-3, seed=0, val_split=0.2)  # 4 steps
+    d, mask = ds[0]
+    ldpl_map = ldpl_interpolate(d, mask).values
+
+    def one_step():
+        model = small_model(k_blocks=3)
+        _, _, d_hat, _ = forward(model, d, mask)
+        ad.backward(loss(d_hat, d, ldpl_map, model.loss_omega))
+
+    def four_steps():
+        _, h = train(small_model(k_blocks=3), ds, cfg)
+        assert len(h["train"]) == 4
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    step, trained = peak(one_step), peak(four_steps)
+    assert trained <= 1.25 * step, f"4-step train peak {trained} B, one step {step} B"
 
 
 def test_train_rejects_split_with_no_training_sample():
