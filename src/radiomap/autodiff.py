@@ -6,6 +6,14 @@ two shrinkage operators, unfold/fold, masked projection, the noise-ball
 rescaling, and the two training losses. Anything else is a deliberate
 build-time error; there is no general broadcasting.
 
+conv2d takes an optional bias and ReLU and applies them in place to its
+own output, so one mapper layer is one node; bias_add and relu remain as
+separate ops. conv2d writes its output into the interior of a zero-bordered
+buffer kept in Node.padded, and the next conv2d with the same kernel reads
+that buffer as its padded input instead of copying the value into a new
+one. Only conv2d sets padded, its pad cells are zero, and nothing writes to
+the buffer once conv2d has returned.
+
 The shrinkage, projection and structure ops take their forward values from
 the numpy kernels in `shrinkage` and `tensors` and add only the backward
 pass. Node supports + - * /, with * and / defined only for a 0-d scalar
@@ -55,7 +63,7 @@ def no_grad():
 class Node:
     """One value in the computation graph. Leaves are created directly."""
 
-    __slots__ = ("value", "grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "parents", "_backward", "padded")
     # an ndarray on the left of an operator defers to the reflected method
     # below instead of building an object array
     __array_ufunc__ = None
@@ -63,6 +71,7 @@ class Node:
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self.padded = None  # set by conv2d only: the zero-bordered buffer value lies in
         if _grad_enabled:
             self.parents = tuple(parents)
             self._backward = backward
@@ -250,17 +259,18 @@ def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
             f"(F-contiguous: {c.flags.f_contiguous})")
 
 
-def conv2d(x, w) -> Node:
-    """Same-padding stride-1 convolution of an (h, w, c_in) map.
+def conv2d(x, w, b=None, relu: bool = False) -> Node:
+    """Same-padding stride-1 convolution of an (h, w, c_in) map, with an
+    optional bias and ReLU applied to its output in the same node.
 
-    Kernel layout (kh, kw, c_in, c_out), odd kh and kw. The input is
-    zero-padded to (h + kh, w + kw - 1, c_in), one spare row past the usual
-    same padding, and flattened to rows of c_in. Output position p of tap
-    (dy, dx) then reads flat row p + dy*wp + dx, with wp the padded width, so
-    every tap is the contiguous row range flat[o:o + h*wp] with
+    Kernel layout (kh, kw, c_in, c_out), odd kh and kw; b is (c_out,). The
+    input is zero-padded to (h + kh, w + kw - 1, c_in), one spare row past the
+    usual same padding, and flattened to rows of c_in. Output position p of
+    tap (dy, dx) then reads flat row p + dy*wp + dx, with wp the padded width,
+    so every tap is the contiguous row range flat[o:o + h*wp] with
     o = dy*wp + dx and goes to BLAS without a copy. The product is computed
     over the padded width: its last wp - w columns wrap across rows, so they
-    are cropped from the output and enter the backward pass as zero gradient.
+    are not part of the output and enter the backward pass as zero gradient.
     No (h*w) x (kh*kw*c_in) patch matrix is built: it would be a strided copy
     about as costly as the larger matmul saves, and held for the backward pass.
 
@@ -269,6 +279,21 @@ def conv2d(x, w) -> Node:
     per-tap product is allocated and added afterwards. BLAS is column-major:
     the accumulator is passed as the transpose of a C-contiguous row range,
     which is F-contiguous, and a C-ordered one would be copied (_gemm_acc).
+
+    The epilogue runs in place on the accumulator after the last tap: the
+    bias as one row add over (h, wp*c_out), then np.maximum(out, 0, out=out),
+    so the value equals relu(bias_add(conv2d(x, w), b)) bit for bit. The
+    backward masks g once by the ReLU pattern (value > 0) and sums the masked
+    gradient for db.
+
+    The accumulator is the interior of a zero-bordered (h + kh, w + kw - 1,
+    c_out) buffer: the padded layout a following conv with the same kernel
+    reads. The wrapped columns land on its pad cells and are zeroed after the
+    epilogue. The node's value is the interior view and the buffer is kept in
+    Node.padded, which a conv2d fed this node uses as its flat input instead
+    of padding a copy; any other input (other kernel, other op) is padded
+    afresh. Only conv2d sets padded, and nothing writes to the buffer after
+    it returns, so its pad cells stay zero through forward and backward.
     """
     x, w = as_node(x), as_node(w)
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -281,22 +306,42 @@ def conv2d(x, w) -> Node:
         raise InvalidArgumentError(f"kernel c_in {wci} does not match input channels {ci}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidArgumentError(f"kernel dims must be odd, got {kh}x{kw}")
+    if b is not None:
+        b = as_node(b)
+        if b.value.shape != (co,):
+            raise InvalidArgumentError(f"conv2d bias must be ({co},), got {b.value.shape}")
     ph, pw = kh // 2, kw // 2
-    wp = wd + 2 * pw
+    hpad, wp = h + 2 * ph + 1, wd + 2 * pw
     n = h * wp
-    pad = np.zeros((h + 2 * ph + 1, wp, ci))
-    pad[ph:ph + h, pw:pw + wd] = x.value
+    pad = x.padded
+    if pad is None or pad.shape != (hpad, wp, ci):
+        pad = np.zeros((hpad, wp, ci))
+        pad[ph:ph + h, pw:pw + wd] = x.value
     flat = pad.reshape(-1, ci)
-    out = np.zeros((n, co))
+    buf = np.zeros((hpad, wp, co))
+    s = ph * wp + pw
+    out = buf.reshape(-1, co)[s:s + n]
     out_t = out.T
     for dy in range(kh):
         for dx in range(kw):
             o = dy * wp + dx
             _gemm_acc(w.value[dy, dx].T, flat[o:o + n].T, out_t)
+    if b is not None:
+        rows = out.reshape(h, wp * co)
+        rows += np.tile(b.value, wp)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    out.reshape(h, wp, co)[:, wd:] = 0.0
+    value = buf[ph:ph + h, pw:pw + wd]
 
     def bw(g):
         gx = np.zeros((h, wp, co))
-        gx[:, :wd] = g
+        if relu:
+            np.multiply(g, value > 0.0, out=gx[:, :wd])
+        else:
+            gx[:, :wd] = g
+        if b is not None:
+            _acc(b, gx[:, :wd].sum(axis=(0, 1)))
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
         dw = np.empty(w.value.shape)
@@ -308,7 +353,9 @@ def conv2d(x, w) -> Node:
         _acc(x, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd])
         _acc(w, dw)
 
-    return Node(out.reshape(h, wp, co)[:, :wd], (x, w), bw)
+    node = Node(value, (x, w) if b is None else (x, w, b), bw)
+    node.padded = buf
+    return node
 
 
 def bias_add(x, b) -> Node:

@@ -160,10 +160,9 @@ def _init_mapper(rng, weight_bias_shapes):
 
 def _apply_mapper(layers, spec: MapperSpec, x: ad.Node) -> ad.Node:
     y = x
+    last = len(layers) - 1
     for i, (wn, bn) in enumerate(layers):
-        y = ad.bias_add(ad.conv2d(y, wn), bn)
-        if i < len(layers) - 1:
-            y = ad.relu(y)
+        y = ad.conv2d(y, wn, bn, relu=i < last)
     return x + y if spec.residual else y
 
 

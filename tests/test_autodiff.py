@@ -175,12 +175,140 @@ def test_grad_conv2d_input_shared_by_two_convs(rng):
 
 
 def test_conv2d_raises_when_blas_accumulates_into_a_copy(rng, monkeypatch):
-    """f2py copies a C-ordered accumulator, which would drop every tap's sum."""
+    """f2py copies a C-ordered accumulator, which would drop every tap's sum,
+    with or without the bias and ReLU epilogue."""
     dgemm = ad._dgemm
     monkeypatch.setattr(ad, "_dgemm", lambda alpha, a, b, beta, c, overwrite_c:
                         dgemm(alpha, a, b, beta, np.ascontiguousarray(c), overwrite_c=overwrite_c))
+    x, w = ad.Node(rng.normal(size=(4, 5, 2))), ad.Node(rng.normal(size=(3, 3, 2, 3)))
     with pytest.raises(NumericalFailureError, match="in place"):
-        ad.conv2d(ad.Node(rng.normal(size=(4, 5, 2))), ad.Node(rng.normal(size=(3, 3, 2, 3))))
+        ad.conv2d(x, w)
+    with pytest.raises(NumericalFailureError, match="in place"):
+        ad.conv2d(x, w, ad.Node(rng.normal(size=(3,))), relu=True)
+
+
+@pytest.mark.parametrize("hw,kernel,ci,co", [
+    ((64, 64), (3, 3), 3, 16), ((64, 64), (3, 3), 16, 3), ((5, 7), (1, 1), 2, 3),
+    ((8, 8), (5, 5), 2, 4), ((4, 6), (3, 5), 3, 2), ((1, 1), (3, 3), 2, 2),
+], ids=["64-3to16", "64-16to3", "5x7-k1", "8x8-k5", "4x6-k3x5", "1x1-map"])
+def test_conv2d_epilogue_matches_separate_ops(rng, hw, kernel, ci, co):
+    """The fused bias and ReLU give the values of the three separate ops bit
+    for bit, and the leaf gradients of the same loss too."""
+    x = rng.normal(size=hw + (ci,))
+    w = rng.normal(size=kernel + (ci, co)) * 0.5
+    b = rng.normal(size=(co,))
+    red = loss_against(rng.normal(size=hw + (co,)))
+    for relu in (False, True):
+        fused = [ad.Node(v) for v in (x, w, b)]
+        split = [ad.Node(v) for v in (x, w, b)]
+        out = ad.conv2d(*fused, relu=relu)
+        ref = ad.bias_add(ad.conv2d(split[0], split[1]), split[2])
+        if relu:
+            ref = ad.relu(ref)
+        assert np.array_equal(out.value, ref.value)
+        ad.backward(red(out))
+        ad.backward(red(ref))
+        for a, r in zip(fused, split):
+            assert np.array_equal(a.grad, r.grad)
+
+
+def test_grad_conv2d_epilogue_away_from_kink(rng):
+    x = rng.normal(size=(5, 6, 2))
+    w = rng.normal(size=(3, 3, 2, 3)) * 0.5
+    b = rng.normal(size=(3,)) * 0.5
+    pre = conv2d_reference(x, w) + b
+    # a 1e-6 step moves no pre-activation across 0
+    assert np.abs(pre).min() > 1e-3 and (pre > 0).any() and (pre < 0).any()
+    red = loss_against(rng.normal(size=(5, 6, 3)))
+    fd_check(lambda xn, wn, bn: red(ad.conv2d(xn, wn, bn, relu=True)), [x, w, b])
+    fd_check(lambda xn, wn, bn: red(ad.conv2d(xn, wn, bn)), [x, w, b])
+
+
+def without_buffer(y):
+    """y's value under a node that carries no padded buffer; the gradient
+    passes through unchanged."""
+    return ad.Node(y.value.copy(), (y,), lambda g: ad._acc(y, g))
+
+
+def conv_chain(x, layers, strip=False):
+    """A mapper-style chain: ReLU after every layer but the last; returns
+    every layer's output."""
+    outs, y = [], x
+    for i, (wn, bn) in enumerate(layers):
+        y = ad.conv2d(without_buffer(y) if strip and i else y, wn, bn,
+                      relu=i < len(layers) - 1)
+        outs.append(y)
+    return outs
+
+
+def assert_pad_cells_zero(node, kernel):
+    ph, pw = kernel[0] // 2, kernel[1] // 2
+    h, wd, _ = node.value.shape
+    border = node.padded.copy()
+    border[ph:ph + h, pw:pw + wd] = 0.0
+    assert not border.any()
+
+
+CHAINS = {
+    "default-3-16-16-3": ((64, 64), 3, (3, 16, 16, 3)),
+    "kernel-1": ((9, 7), 1, (3, 16, 16, 3)),
+    "kernel-5": ((9, 7), 5, (3, 4, 4, 3)),
+    "one-layer": ((9, 7), 3, (3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_conv2d_chain_reads_carried_buffer_exactly(rng, name):
+    """A conv fed another conv's output with the same kernel reads that
+    output's zero-bordered buffer instead of padding a copy: values and leaf
+    gradients equal the chain fed buffer-free copies, and no pad cell is
+    written by the forward or the backward."""
+    hw, k, widths = CHAINS[name]
+    x = rng.normal(size=hw + (widths[0],))
+    params = [(rng.normal(size=(k, k, ci, co)) * (2.0 / (k * k * ci)) ** 0.5,
+               rng.normal(size=(co,)) * 0.1) for ci, co in zip(widths, widths[1:])]
+    red = loss_against(rng.normal(size=hw + (widths[-1],)))
+    runs = []
+    for strip in (False, True):
+        leaves = [ad.Node(x)] + [ad.Node(v) for wb in params for v in wb]
+        layers = list(zip(leaves[1::2], leaves[2::2]))
+        outs = conv_chain(leaves[0], layers, strip)
+        for o in outs:
+            assert o.padded.shape == (hw[0] + k, hw[1] + k - 1, o.value.shape[2])
+            assert_pad_cells_zero(o, (k, k))
+        ad.backward(red(outs[-1]))
+        for o in outs:
+            assert_pad_cells_zero(o, (k, k))
+        runs.append(([o.value for o in outs], [n.grad for n in leaves]))
+    (vals, grads), (ref_vals, ref_grads) = runs
+    for a, b in zip(vals + grads, ref_vals + ref_grads):
+        assert np.array_equal(a, b)
+    with ad.no_grad():
+        leaves = [ad.Node(x)] + [ad.Node(v) for wb in params for v in wb]
+        outs = conv_chain(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
+    for a, b in zip(outs, vals):
+        assert np.array_equal(a.value, b)
+
+
+def test_conv2d_uses_carried_buffer_only_for_its_own_padding(rng):
+    """Marking a pad cell of the carried buffer shows which convs read it:
+    the next conv with the same kernel does, one with another kernel pads
+    afresh, and so does a conv of a node that is not a conv output."""
+    x = ad.Node(rng.normal(size=(6, 5, 2)))
+    y = ad.conv2d(x, ad.Node(rng.normal(size=(3, 3, 2, 2))), ad.Node(rng.normal(size=(2,))),
+                  relu=True)
+    assert y.padded is not None and x.padded is None
+    w3 = ad.Node(rng.normal(size=(3, 3, 2, 2)))
+    w5 = ad.Node(rng.normal(size=(5, 5, 2, 2)))
+    w13 = ad.Node(rng.normal(size=(1, 3, 2, 2)))
+    copy = ad.Node(y.value.copy())
+    ref = {k: ad.conv2d(copy, wn).value for k, wn in (("3", w3), ("5", w5), ("1x3", w13))}
+    assert np.array_equal(ad.conv2d(y, w3).value, ref["3"])
+    y.padded[0, 0, :] = 1.0  # a corner pad cell, read by the top-left output
+    assert not np.array_equal(ad.conv2d(y, w3).value, ref["3"])
+    assert np.array_equal(ad.conv2d(y, w5).value, ref["5"])
+    assert np.array_equal(ad.conv2d(y, w13).value, ref["1x3"])
+    assert np.array_equal(ad.conv2d(ad.relu(y), w3).value, ref["3"])
 
 
 def test_grad_bias_add(rng):
@@ -452,6 +580,8 @@ def test_op_validation(rng):
         ad.conv2d(a, ad.Node(rng.normal(size=(3, 3, 5, 1))))
     with pytest.raises(InvalidArgumentError):
         ad.bias_add(a, vec)
+    with pytest.raises(InvalidArgumentError, match="bias"):
+        ad.conv2d(a, ad.Node(rng.normal(size=(3, 3, 2, 3))), vec)
     with pytest.raises(InvalidArgumentError):
         ad.soft_threshold(a, ad.Node(np.asarray(-0.1)))
     with pytest.raises(InvalidArgumentError):

@@ -7,6 +7,7 @@ import pytest
 
 import radiomap.autodiff as ad
 import radiomap.shrinkage as shrinkage
+import radiomap.unrolled as unrolled
 from radiomap.admm import AdmmHyperParams, solve_admm
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import psnr
@@ -344,6 +345,37 @@ def test_training_with_non_default_mapper_on_non_square_grid(mapper):
     assert all(not np.array_equal(b, p.value) for b, p in zip(before, model.live_params()))
     d, mask = ds[0]
     assert np.array_equal(infer(model, d, mask), forward(model, d, mask)[2].value)
+
+
+def reference_mapper(layers, spec, x):
+    """The mapper written as separate conv2d, bias_add and relu nodes."""
+    y = x
+    for i, (wn, bn) in enumerate(layers):
+        y = ad.bias_add(ad.conv2d(y, wn), bn)
+        if i < len(layers) - 1:
+            y = ad.relu(y)
+    return x + y if spec.residual else y
+
+
+def test_fused_mapper_matches_separate_ops_bitwise(monkeypatch):
+    """The default model with each mapper layer one fused conv2d node trains
+    and infers exactly as with conv2d, bias_add and relu as separate nodes:
+    step losses, trained parameters and infer outputs are bitwise equal."""
+    data = []
+    for i in range(3):
+        spec = SceneSpec.random(64, 64, 3, n_transmitters=1, n_obstructions=30,
+                                obstruction_depth=15.0, seed=120 + i)
+        data.append((generate_scene(spec).ground_truth, sample_mask(64, 64, 10.0, seed=130 + i)))
+    runs = []
+    for mapper in (unrolled._apply_mapper, reference_mapper):
+        monkeypatch.setattr(unrolled, "_apply_mapper", mapper)
+        model, hist = train(UnrolledModel.create(seed=0), data,
+                            TrainConfig(epochs=1, lr=1e-2, seed=0, val_split=0.34))
+        runs.append((hist["train"] + hist["val"], [p.value for p in model.params()],
+                     [infer(model, d, mask) for d, mask in data]))
+    (losses, params, maps), (ref_losses, ref_params, ref_maps) = runs
+    assert len(losses) == 3 and losses == ref_losses
+    assert all(np.array_equal(a, b) for a, b in zip(params + maps, ref_params + ref_maps))
 
 
 # ---------------------------------------------------------------------------
