@@ -412,18 +412,15 @@ def svt(m, tau) -> Node:
     if m.value.ndim != 2:
         raise InvalidArgumentError(f"svt expects a matrix, got shape {m.value.shape}")
     t = _check_tau(tau.value)
-    u, s, vt = _svd(m.value, t)
-    keep = s > t
-    shrunk = np.where(keep, s - t, 0.0)
+    u, s, vt = _svd(m.value, t)  # only the retained triplets, s > t
 
     def bw(g):
         # d_i = u_i^T g v_i for retained directions
         d = np.einsum("ir,ij,rj->r", u, g, vt)
-        d = np.where(keep, d, 0.0)
         _acc(m, (u * d) @ vt)
         _acc(tau, np.asarray(-np.sum(d)))
 
-    return Node((u * shrunk) @ vt, (m, tau), bw)
+    return Node((u * (s - t)) @ vt, (m, tau), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,10 @@ def _cmd_train(args) -> int:
     tc = cfgmod.train_config(cfg)
     model, history = train(model, dataset, tc)
     rio.write_checkpoint(args.out, model)
-    # history["train"] holds one loss per step; val and best_val one per epoch
+    # history["train"] holds one loss per step, history["val"] one per epoch
     step_means = np.reshape(history["train"], (tc.epochs, -1)).mean(axis=1)
-    nan = [float("nan")] * tc.epochs
-    val, best = history["val"] or nan, history["best_val"] or nan
-    for ep, row in enumerate(zip(step_means, val, best), start=1):
+    val = history["val"] or [float("nan")] * tc.epochs
+    for ep, row in enumerate(zip(step_means, val, np.minimum.accumulate(val)), start=1):
         print("epoch %d: train %.6f val %.6f best_val %.6f" % (ep, *row))
     print(f"train: {len(dataset)} pairs, {tc.epochs} epochs, "
           f"final train loss {history['train'][-1]:.6f}, val loss {val[-1]:.6f} -> {args.out}")

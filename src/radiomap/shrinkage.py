@@ -41,8 +41,8 @@ def _svd(m: np.ndarray, tau: float):
 
     Returns (u, s, vt) with s descending, shapes (rows, k), (k,), (k, cols).
     They come from the eigenpairs of the small-side Gram matrix a @ a.T
-    (a = m, or m.T when m is tall) with eigenvalue above tau**2: s = sqrt(w)
-    and the right vectors (u.T @ a) / s. Only the kept eigenvectors are
+    (a = m, or m.T when m is tall) whose root s = sqrt(w) exceeds tau, and
+    the right vectors (u.T @ a) / s. Only the kept eigenvectors are
     mapped back, and eigh of the small side costs a fraction of gesdd on m.
     When trace(a @ a.T) = ||m||_F**2 <= tau**2 the result is empty without
     any eigh: s_max <= ||m||_F <= tau, so the shortcut is exact.
@@ -73,8 +73,10 @@ def _gram_svd(m: np.ndarray, tau: float):
         w, u = np.linalg.eigh(g)  # ascending
     except np.linalg.LinAlgError:
         return None
-    k = int(np.count_nonzero(w > tau * tau))
-    s = np.sqrt(w[::-1][:k])
+    # cut on the roots: w > tau**2 can keep a root equal to tau, as tau**2 rounds
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    k = int(np.count_nonzero(s > tau))
+    s = s[:k]
     if k and s[0] > GRAM_MAX_SPREAD * tau:
         return None
     u = u[:, ::-1][:, :k]
@@ -103,7 +105,7 @@ def svt(m: np.ndarray, tau) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidArgumentError("svt input contains non-finite values")
     u, s, vt = _svd(m, tau)
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+    return (u * (s - tau)) @ vt
 
 
 def soft_threshold(t: np.ndarray, tau) -> np.ndarray:

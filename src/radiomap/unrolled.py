@@ -86,14 +86,17 @@ class BlockParams:
 
 
 class UnrolledModel:
-    def __init__(self, k_blocks, k_bands, blocks, mapper_spec, loss_omega, alpha, rho):
-        self.k_blocks = k_blocks
+    def __init__(self, k_bands, blocks, mapper_spec, loss_omega, alpha, rho):
         self.k_bands = k_bands
         self.blocks = blocks
         self.mapper_spec = mapper_spec
         self.loss_omega = loss_omega
         self.alpha = tuple(float(a) for a in alpha)
         self.rho = float(rho)
+
+    @property
+    def k_blocks(self) -> int:
+        return len(self.blocks)
 
     @classmethod
     def create(cls, h: int = 64, w: int = 64, k_bands: int = 3, k_blocks: int = 5,
@@ -121,7 +124,7 @@ class UnrolledModel:
             scalars = [ad.Node(np.asarray(math.log(v))) for v in inits]
             blocks.append(BlockParams(scalars, _init_mapper(rng, v_shapes),
                                       _init_mapper(rng, w_shapes)))
-        return cls(k_blocks, k_bands, blocks, mapper, loss_omega, hp.alpha, hp.rho)
+        return cls(k_bands, blocks, mapper, loss_omega, hp.alpha, hp.rho)
 
     def params(self):
         out = []
@@ -183,28 +186,27 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
     return pq_step
 
 
-def forward(model: UnrolledModel, d, mask: ObservationMask):
-    """Run all blocks; returns (x, e, d_hat) Nodes plus per-block on-mask
-    residual norms ||P_o(X+E+N-D)||_F recorded from the forward values."""
+def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
+    """Run all blocks; returns the estimate D_hat = X + E as a Node.
+
+    The inputs are checked first, so a bad argument inside a block is a
+    computed value (an overflowed scalar, say): a NumericalFailureError."""
     d, pd = observed(d, mask)
     if d.shape[2] != model.k_bands:
         raise InvalidArgumentError(f"model expects {model.k_bands} bands, got {d.shape[2]}")
-    on = mask.sampled[:, :, None]
     pd = ad.Node(pd)
     state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
-    residuals = []
     for k, blk in enumerate(model.blocks):
-        state = admm.block_step(state, pd, mask, _block_hp(model, blk),
-                                _learned_pq(model, blk), ad)
+        with reraise(NumericalFailureError, f"block {k}"):
+            state = admm.block_step(state, pd, mask, _block_hp(model, blk),
+                                    _learned_pq(model, blk), ad)
         # E too: a non-finite Q from block k-1 reaches E in block k while X
         # stays finite, and d_hat = X + E
         for name, v in (("X", state.x), ("E", state.e)):
             if not np.all(np.isfinite(v.value)):
                 raise NumericalFailureError(
                     f"block {k} produced non-finite {name}; scalars {blk.decoded_scalars()}")
-        residuals.append(float(np.linalg.norm(
-            np.where(on, state.x.value + state.e.value + state.n.value - d, 0.0))))
-    return state.x, state.e, state.x + state.e, residuals
+    return state.x + state.e
 
 
 def loss(d_hat, ground_truth, ldpl_map, omega: float) -> ad.Node:
@@ -219,8 +221,7 @@ def loss(d_hat, ground_truth, ldpl_map, omega: float) -> ad.Node:
 def infer(model: UnrolledModel, d, mask: ObservationMask) -> np.ndarray:
     """Forward without graph construction; raw values (no clamping)."""
     with ad.no_grad():
-        _, _, d_hat, _ = forward(model, d, mask)
-    return d_hat.value
+        return forward(model, d, mask).value
 
 
 def _train_step(model: UnrolledModel, params, state: ad.AdamState, d, mask,
@@ -230,8 +231,7 @@ def _train_step(model: UnrolledModel, params, state: ad.AdamState, d, mask,
     The step's graph is referenced only from this frame, so it is freed when
     the step returns, before the next step's forward builds another.
     """
-    _, _, d_hat, _ = forward(model, d, mask)
-    step_loss = loss(d_hat, d, ldpl_map, model.loss_omega)
+    step_loss = loss(forward(model, d, mask), d, ldpl_map, model.loss_omega)
     lv = float(step_loss.value)
     if not np.isfinite(lv):
         raise NumericalFailureError(
@@ -247,10 +247,10 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     """Adam training, one gradient step per sample (batch size 1).
 
     dataset: sequence of (d_full, mask) pairs. Returns (model, history) where
-    history carries per-step training losses, per-epoch validation losses, and
-    the best-so-far validation curve. One step's graph is alive at a time:
-    each step's graph is dropped when the step ends, and backward keeps
-    gradients only on leaves, so training memory is one forward's values
+    history carries per-step training losses ("train") and per-epoch
+    validation losses ("val", empty without a validation split). One step's
+    graph is alive at a time: it is dropped when the step ends, and backward
+    keeps gradients only on leaves, so training memory is one forward's values
     plus one backward's working gradients, whatever the number of steps.
     """
     cfg = cfg or TrainConfig()
@@ -270,8 +270,7 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     train_idx = list(order[n_val:])
     params = model.params()
     state = ad.AdamState.for_params(params)
-    history = {"train": [], "val": [], "best_val": []}
-    best = math.inf
+    history = {"train": [], "val": []}
     for _ in range(cfg.epochs):
         for j in rng.permutation(len(train_idx)):
             i = train_idx[j]
@@ -283,10 +282,8 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
             for i in val_idx:
                 d, mask = pairs[i]
                 with ad.no_grad():
-                    _, _, d_hat, _ = forward(model, d, mask)
-                    vl += float(loss(d_hat, d, ldpl_maps[i], model.loss_omega).value)
+                    vl += float(loss(forward(model, d, mask), d, ldpl_maps[i],
+                                     model.loss_omega).value)
             vl /= len(val_idx)
             history["val"].append(vl)
-            best = min(best, vl)
-            history["best_val"].append(best)
     return model, history

@@ -332,6 +332,20 @@ def test_solver_recovers_low_rank_plus_sparse_instance():
         fro_norm(project(truth, mask) - res.x - res.e - res.n), abs=1e-10)
 
 
+def test_solver_stops_on_the_change_test_at_one_percent():
+    """At 1 % sampling the relative change of X+E falls below the default tol
+    well before max_iters, and the early stop costs no PSNR."""
+    spec = SceneSpec.random(64, 64, 3, n_transmitters=1, n_obstructions=30,
+                            obstruction_depth=15.0, seed=9000)
+    truth = generate_scene(spec).ground_truth
+    mask = sample_mask(64, 64, 1.0, seed=0)
+    res = solve_admm(truth, mask)
+    assert res.converged and len(res.history) < AdmmHyperParams().max_iters
+    capped = solve_admm(truth, mask, AdmmHyperParams(tol=1e-300))
+    assert not capped.converged and len(capped.history) == AdmmHyperParams().max_iters
+    assert abs(psnr(res.d_hat, truth) - psnr(capped.d_hat, truth)) <= 1e-3
+
+
 def test_halrtc_clean_instance_and_robustness_gap():
     background, truth, mask = rank221_instance()
     x_clean = solve_halrtc(background, mask)

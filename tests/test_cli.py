@@ -132,6 +132,20 @@ def test_train_solve_with_checkpoint(tmp_path, capsys):
     assert rio.read_tensor(est).shape == (12, 12, 2)
 
 
+def test_train_prints_running_best_validation_loss(tmp_path, capsys, monkeypatch):
+    def fake_train(model, dataset, cfg):
+        return model, {"train": [1.0] * 4, "val": [0.5, 0.3, 0.4, 0.2]}
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("unroll.k_blocks=1\ntrain.epochs=4\n")
+    assert run("train", "--dataset", make_dataset(tmp_path, n=5), "--config", cfg,
+               "--out", tmp_path / "m.rmu") == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("epoch")]
+    assert rows == ["epoch %d: train 1.000000 val %.6f best_val %.6f" % r
+                    for r in ((1, 0.5, 0.5), (2, 0.3, 0.3), (3, 0.4, 0.3), (4, 0.2, 0.2))]
+
+
 def test_sweep_writes_report_csv(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("scene.h=16\nscene.w=16\nscene.n_obstructions=3\n"
@@ -418,10 +432,13 @@ def test_exit_3_on_corrupt_files(tmp_path, capsys):
                "--out", tmp_path / "x.csv") == 3
 
 
-def test_exit_4_on_divergent_training(tmp_path, capsys):
+@pytest.mark.parametrize("k_blocks", [2, 3])
+def test_exit_4_on_divergent_training(tmp_path, capsys, k_blocks):
+    """With 3 blocks a middle block's decoded delta overflows first, which a
+    block op reports as a bad radius: still a numerical failure, exit 4."""
     root = make_dataset(tmp_path)
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text("unroll.k_blocks=2\ntrain.epochs=60\ntrain.lr=1e6\ntrain.seed=0\n")
+    cfg.write_text(f"unroll.k_blocks={k_blocks}\ntrain.epochs=60\ntrain.lr=1e6\ntrain.seed=0\n")
     with np.errstate(all="ignore"):
         code = run("train", "--dataset", root, "--config", cfg, "--out", tmp_path / "c.rmu")
     assert code == 4

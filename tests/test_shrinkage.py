@@ -169,6 +169,15 @@ def test_svt_matches_gesdd_reference(rng, monkeypatch, shape, case):
     assert u.shape == (shape[0], s.size) and vt.shape == (s.size, shape[1])
 
 
+def test_svd_cuts_a_singular_value_equal_to_tau(rng):
+    """tau set to one of m's own singular values: the rounded tau**2 can lie
+    below that value's square, and the value must still be cut."""
+    for _ in range(50):
+        m = rng.normal(size=(8, 20))
+        for tau in shrinkage._svd(m, 1e-3)[1]:
+            assert np.all(shrinkage._svd(m, float(tau))[1] > tau)
+
+
 @pytest.mark.parametrize("case,eigh_calls", [("fro-below-tau", 0), ("s_max-below-tau-below-fro", 1)])
 def test_svt_skips_eigh_exactly_when_fro_norm_is_at_most_tau(rng, monkeypatch, case, eigh_calls):
     spectrum, tau, _ = SVT_CASES[case]

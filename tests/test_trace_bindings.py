@@ -43,7 +43,7 @@ def test_self_check_passes_for_every_solver(tracing):
     try:
         res = admm.solve_admm(d, mask, admm.AdmmHyperParams(max_iters=3))
         est = admm.solve_halrtc(d, mask, max_iters=3)
-        _, _, d_hat, _ = unrolled.forward(model, d, mask)
+        d_hat = unrolled.forward(model, d, mask)
     finally:
         tracer.uninstall()
     assert len(res.history) == 3
