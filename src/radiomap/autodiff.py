@@ -35,7 +35,6 @@ import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemm as _dgemm
 
 from .errors import InvalidArgumentError, NumericalFailureError
 from .shrinkage import _check_tau, _shrink, _svd
@@ -245,6 +244,20 @@ def exp(s) -> Node:
 
 # ---------------------------------------------------------------------------
 # neural ops
+
+def _load_dgemm(*args, **kwargs):
+    """The first binding of _dgemm: imports scipy's dgemm on the first call,
+    so that `import radiomap` does not load scipy.linalg, binds _dgemm to it
+    (unless _dgemm was rebound meanwhile) and forwards the call."""
+    global _dgemm
+    from scipy.linalg.blas import dgemm
+    if _dgemm is _load_dgemm:
+        _dgemm = dgemm
+    return dgemm(*args, **kwargs)
+
+
+_dgemm = _load_dgemm
+
 
 def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
     """c += a @ b inside BLAS: one dgemm call with beta = 1, no temporary.

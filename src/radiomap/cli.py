@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import io as rio
-from .errors import BAD_PATH_ERRORS, InvalidArgumentError, RadioMapError, reraise
+from .errors import InvalidArgumentError, RadioMapError, bad_path, reraise
 from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, outage_error, psnr, rmse,
                       standard_methods, sweep)
 from .propagation import SceneSpec, generate_scene, sample_mask
@@ -83,7 +83,7 @@ def _cmd_gen(args) -> int:
     cfg = cfgmod.load_config(args.spec)
     spec = SceneSpec.random(**cfgmod.scene_kwargs(cfg))
     scene = generate_scene(spec)
-    with reraise(InvalidArgumentError, f"cannot create directory {args.out}", BAD_PATH_ERRORS):
+    with bad_path(f"cannot create directory {args.out}"):
         os.makedirs(args.out, exist_ok=True)
     for name, t in (("ground_truth", scene.ground_truth),
                     ("background", scene.background),
@@ -121,7 +121,7 @@ def _cmd_solve(args) -> int:
 
 
 def _dataset_pairs(root: str):
-    with reraise(InvalidArgumentError, f"cannot list dataset directory {root}", BAD_PATH_ERRORS):
+    with bad_path(f"cannot list dataset directory {root}"):
         names = sorted(os.listdir(root))
     pairs = []
     for name in names:

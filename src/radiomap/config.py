@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .admm import AdmmHyperParams
-from .errors import BAD_PATH_ERRORS, ConfigError, InvalidArgumentError, reraise
+from .errors import ConfigError, InvalidArgumentError, bad_path, reraise
 from .unrolled import MapperSpec, TrainConfig
 
 METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
@@ -148,7 +148,7 @@ def load_config(path: str | None) -> Config:
     """Parse a config file; None means no overrides."""
     if path is None:
         return Config({})
-    with reraise(InvalidArgumentError, f"cannot read {path}", BAD_PATH_ERRORS):
+    with bad_path(f"cannot read {path}"):
         with open(path, "rb") as f:
             raw = f.read()
     with reraise(ConfigError, f"{path}: not UTF-8 text", UnicodeDecodeError):

@@ -3,9 +3,11 @@
 Each class carries the process exit code and the category name that the CLI
 prints as `category: detail`, so shell callers can branch on the failure
 category without parsing messages. reraise() is the one translation of a
-caught exception into one of these classes.
+caught exception into one of these classes; bad_path() applies it to the
+OS errors that name an unusable path.
 """
 
+import errno
 from contextlib import contextmanager
 
 
@@ -41,8 +43,11 @@ class ConfigError(RadioMapError):
     category = "config-error"
 
 
-# a path that is missing, runs through a file, or is a directory where a file belongs or the reverse
-BAD_PATH_ERRORS = (FileNotFoundError, NotADirectoryError, IsADirectoryError, FileExistsError)
+# the errno of a path that is missing, runs through a file, is a directory where a file
+# belongs or the reverse, already exists, is too long, loops through symbolic links, or
+# may not be used
+BAD_PATH_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.EEXIST,
+                             errno.ENAMETOOLONG, errno.ELOOP, errno.EACCES, errno.EPERM})
 
 
 @contextmanager
@@ -54,3 +59,16 @@ def reraise(error, context: str, catch=InvalidArgumentError):
     except catch as exc:
         detail = getattr(exc, "strerror", None) or str(exc)
         raise error(f"{context}: {detail}") from exc
+
+
+@contextmanager
+def bad_path(context: str):
+    """reraise(InvalidArgumentError, context) for an OSError of the block whose
+    errno is in BAD_PATH_ERRNOS; any other OSError (a full disk, say) passes."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.errno not in BAD_PATH_ERRNOS:
+            raise
+        with reraise(InvalidArgumentError, context, OSError):
+            raise

@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .errors import BAD_PATH_ERRORS, FormatError, InvalidArgumentError, reraise
+from .errors import FormatError, InvalidArgumentError, bad_path, reraise
 from .metrics import cap_psnr
 from .tensors import ObservationMask, as_tensor
 from .unrolled import MapperSpec, UnrolledModel, block_param_shapes
@@ -36,7 +36,7 @@ CHECKPOINT_VERSION = 1
 
 def _atomic_write(path: str, data: bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    with reraise(InvalidArgumentError, f"cannot write {path}", BAD_PATH_ERRORS):
+    with bad_path(f"cannot write {path}"):
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         try:
             with os.fdopen(fd, "wb") as f:
@@ -52,17 +52,21 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def check_out_path(path: str) -> None:
     """Fail now, as _atomic_write would fail later, when path's directory is
-    missing or not a directory, or path is a directory; commands that run
-    long call it before their work starts."""
-    with reraise(InvalidArgumentError, f"cannot write {path}", BAD_PATH_ERRORS):
+    missing or not a directory, or path is a directory or a name too long;
+    commands that run long call it before their work starts."""
+    with bad_path(f"cannot write {path}"):
         if not stat.S_ISDIR(os.stat(os.path.dirname(os.path.abspath(path))).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        try:
+            os.lstat(path)
+        except FileNotFoundError:
+            pass
 
 
 def _read_bytes(path: str) -> bytes:
-    with reraise(InvalidArgumentError, f"cannot read {path}", BAD_PATH_ERRORS):
+    with bad_path(f"cannot read {path}"):
         with open(path, "rb") as f:
             return f.read()
 

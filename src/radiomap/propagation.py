@@ -5,14 +5,14 @@ shadowing, a per-band affine scaling that keeps the bands linearly
 dependent (so the band-mode unfolding of the background has rank <= 2),
 and a sparse set of single-cell obstructions.  Every generated map is
 min-max normalized to [0, 1] jointly across bands.
+
+scipy is imported by the two functions that use it, the shadowing filter
+and the RBF solve, so importing this module does not load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
-from scipy.ndimage import gaussian_filter
 
 from .errors import InvalidArgumentError
 from .tensors import ObservationMask, observed
@@ -75,6 +75,7 @@ def _correlated_shadowing(h, w, sigma, corr, rng) -> np.ndarray:
     """Smoothed white noise rescaled to the requested standard deviation."""
     if sigma == 0.0:
         return np.zeros((h, w))
+    from scipy.ndimage import gaussian_filter
     noise = rng.standard_normal((h, w))
     smooth = gaussian_filter(noise, sigma=corr, mode="reflect")
     sd = smooth.std()
@@ -311,6 +312,8 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     defaults to a fixed 3-cell width; tying it to observation density makes
     reconstruction quality non-monotone in sampling rate.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    from scipy.linalg.lapack import dpocon
     _, pd = observed(d, mask)
     n_obs = mask.count
     if 8 * n_obs**2 > RBF_MAX_KERNEL_BYTES:

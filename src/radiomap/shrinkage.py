@@ -16,7 +16,6 @@ the kept singular triplets) from here and add only the backward pass.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericalFailureError, reraise
 
@@ -91,9 +90,12 @@ def _full_svd(m: np.ndarray):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         pass
+    # imported here, and outside reraise, so that a missing scipy is an
+    # ImportError and not a failed SVD
+    from scipy.linalg import svd
     with reraise(NumericalFailureError, f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix "
                  f"(fro norm {np.linalg.norm(m):.3e}) with both drivers", Exception):
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        return svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
 def svt(m: np.ndarray, tau) -> np.ndarray:

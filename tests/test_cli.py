@@ -244,17 +244,31 @@ def test_non_finite_scene_setting_exits_2(tmp_path, capsys):
     assert not (tmp_path / "scene").exists()
 
 
+# a file name longer than any file system's 255-byte limit
+TOO_LONG = "a" * 300
+
+
+def symlink_loop(root):
+    """loopa -> loopb -> loopa in root; any path through loopa fails with ELOOP."""
+    (root / "loopa").symlink_to("loopb")
+    (root / "loopb").symlink_to("loopa")
+
+
 @pytest.mark.parametrize("command,out", [
     ("solve", "missing/x.rmt"),
     ("solve", "."),
     ("sample", "missing/x.rmm"),
     ("export", "missing/x.pgm"),
     ("gen", "t.rmt"),
+    pytest.param("sample", TOO_LONG + ".rmm", id="sample-too-long"),
+    pytest.param("sample", "loopa/m.rmm", id="sample-symlink-loop"),
+    pytest.param("gen", "loopa/scene", id="gen-symlink-loop"),
 ])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, command, out):
     t, m = tmp_path / "t.rmt", tmp_path / "m.rmm"
     rio.write_tensor(t, np.zeros((8, 8, 1)))
     rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
+    symlink_loop(tmp_path)
     spec = tmp_path / "scene.cfg"
     spec.write_text("scene.h=8\nscene.w=8\n")
     out = tmp_path / out
@@ -265,13 +279,14 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, command, out):
         "gen": ("gen", "--spec", spec, "--out", out),
     }[command]
     assert run(*argv) == 2
-    assert str(out) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid-argument:") and str(out) in err
     assert not list(tmp_path.rglob(".tmp-*.part"))
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("out", ["missing/x.out", "file.txt/x.out", "."],
-                         ids=["missing-dir", "dir-is-a-file", "out-is-a-dir"])
+@pytest.mark.parametrize("out", ["missing/x.out", "file.txt/x.out", ".", TOO_LONG + ".out"],
+                         ids=["missing-dir", "dir-is-a-file", "out-is-a-dir", "too-long"])
 def test_long_command_checks_out_path_before_working(tmp_path, capsys, monkeypatch,
                                                      command, out):
     def never(*args, **kwargs):
@@ -312,17 +327,24 @@ def test_export_and_import_round_trip(scene_dir, tmp_path):
     assert np.allclose(back, (truth - lo) / (hi - lo), atol=1e-12)
 
 
-@pytest.mark.parametrize("command,flag", [
-    ("sample", "--tensor"), ("solve", "--tensor"), ("solve", "--mask"), ("solve", "--config"),
-    ("solve", "--model"), ("eval", "--est"), ("eval", "--truth"), ("export", "--tensor"),
-    ("import", "--csv"), ("gen", "--spec"), ("train", "--dataset"), ("train", "--config"),
-    ("sweep", "--config"), ("sweep", "sweep.model"),
+@pytest.mark.parametrize("command,flag,kind", [
+    *(pytest.param(c, f, "through-file", id=f"{c}-{f}") for c, f in (
+        ("sample", "--tensor"), ("solve", "--tensor"), ("solve", "--mask"), ("solve", "--config"),
+        ("solve", "--model"), ("eval", "--est"), ("eval", "--truth"), ("export", "--tensor"),
+        ("import", "--csv"), ("gen", "--spec"), ("train", "--dataset"), ("train", "--config"),
+        ("sweep", "--config"), ("sweep", "sweep.model"))),
+    # the three readers: io's, the config loader's and the dataset listing
+    *(pytest.param(c, f, k, id=f"{c}-{f}-{k}")
+      for c, f in (("eval", "--est"), ("solve", "--config"), ("train", "--dataset"))
+      for k in ("too-long", "symlink-loop")),
 ])
-def test_input_path_through_a_regular_file_exits_2(tmp_path, capsys, command, flag):
+def test_input_path_through_a_regular_file_exits_2(tmp_path, capsys, command, flag, kind):
     t, m = tmp_path / "t.rmt", tmp_path / "m.rmm"
     rio.write_tensor(t, np.zeros((8, 8, 1)))
     rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
-    bad = t / "x"
+    symlink_loop(tmp_path)
+    bad = {"through-file": t / "x", "too-long": tmp_path / TOO_LONG,
+           "symlink-loop": tmp_path / "loopa"}[kind]
     sweep_cfg = tmp_path / "sweep.cfg"
     sweep_cfg.write_text(f"scene.h=8\nscene.w=8\nsweep.n_scenes=1\nsweep.model={bad}\n")
     out = tmp_path / "out"

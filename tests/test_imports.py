@@ -1,0 +1,100 @@
+"""Import hygiene: `import radiomap` loads no scipy, and scipy is imported
+only by the calls that use it, with the same results as a warm process.
+
+Each check runs in a fresh interpreter, where nothing has imported scipy."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import radiomap
+from radiomap import io as rio
+
+SRC = str(Path(radiomap.__file__).resolve().parents[1])
+
+# prints the scipy modules the process has loaded, as a Python list literal
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def run_fresh(code: str, cwd) -> list:
+    """Run code in a new interpreter with radiomap importable; return the
+    list literal on its last stdout line."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True,
+                       timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    return ast.literal_eval(r.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert run_fresh(f"import sys\nimport radiomap\n{SCIPY_MODULES}", tmp_path) == []
+
+
+def test_scipy_free_estimators_and_eval_load_no_scipy(tmp_path):
+    rio.write_tensor(tmp_path / "t.rmt", np.random.default_rng(0).random((16, 16, 3)))
+    code = f"""
+import sys
+from radiomap import cli, io
+from radiomap.admm import AdmmHyperParams, solve_admm, solve_halrtc
+from radiomap.metrics import zero_fill
+from radiomap.propagation import ldpl_interpolate, sample_mask
+
+d = io.read_tensor("t.rmt")
+mask = sample_mask(16, 16, 30.0, seed=1)
+solve_admm(d, mask, AdmmHyperParams(max_iters=20))
+solve_halrtc(d, mask, max_iters=20)
+ldpl_interpolate(d, mask)
+zero_fill(d, mask)
+assert cli.main(["eval", "--est", "t.rmt", "--truth", "t.rmt"]) == 0
+{SCIPY_MODULES}
+"""
+    assert run_fresh(code, tmp_path) == []
+
+
+PRELUDE = """
+import numpy as np
+from radiomap import autodiff as ad
+from radiomap.propagation import SceneSpec, generate_scene, rbf_interpolate, sample_mask
+"""
+
+# each leaves its result in `out`; the inputs are drawn without scipy
+FIRST_CALLS = {
+    "generate_scene": """
+out = generate_scene(SceneSpec.random(16, 16, 3, n_obstructions=4, seed=3)).ground_truth
+""",
+    "rbf_interpolate": """
+d = np.random.default_rng(4).random((16, 16, 3))
+out = rbf_interpolate(d, sample_mask(16, 16, 20.0, seed=4)).values
+""",
+    "conv2d": """
+rng = np.random.default_rng(5)
+x, w, b = (ad.Node(rng.normal(size=s)) for s in ((9, 7, 2), (3, 3, 2, 4), (4,)))
+y = ad.conv2d(x, w, b, relu=True)
+ad.backward(ad.mse_loss(y, np.zeros(y.value.shape)))
+out = np.concatenate([a.ravel() for a in (y.value, x.grad, w.grad, b.grad)])
+""",
+}
+
+
+@pytest.mark.parametrize("call", sorted(FIRST_CALLS))
+def test_cold_first_call_matches_warm_call_bitwise(tmp_path, call):
+    """The call that first imports scipy in a process returns the same bits
+    as the same call in this process, where scipy is already loaded."""
+    code = f"""
+import sys
+{PRELUDE}
+assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)
+{FIRST_CALLS[call]}
+np.save("cold.npy", out)
+{SCIPY_MODULES}
+"""
+    loaded = run_fresh(code, tmp_path)
+    assert ("scipy.ndimage" if call == "generate_scene" else "scipy.linalg") in loaded
+    warm = {}
+    exec(PRELUDE + FIRST_CALLS[call], warm)
+    assert np.array_equal(np.load(tmp_path / "cold.npy"), warm["out"])

@@ -1,6 +1,8 @@
 """File formats: bit-exact round trips, corruption detection, exports."""
 
+import errno
 import hashlib
+import os
 import struct
 import zlib
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from radiomap import io as rio
-from radiomap.errors import FormatError, InvalidArgumentError
+from radiomap.errors import FormatError, InvalidArgumentError, bad_path
 from radiomap.metrics import EvalReport
 from radiomap.tensors import ObservationMask
 from radiomap.unrolled import MapperSpec, UnrolledModel, infer
@@ -88,6 +90,22 @@ def test_write_failure_leaves_no_partial_file(tmp_path, rng):
     with pytest.raises(InvalidArgumentError, match="Is a directory"):
         rio.write_tensor(target, rng.random((3, 3, 1)))
     assert list(tmp_path.glob(".tmp-*")) == []
+
+
+@pytest.mark.parametrize("code", [errno.ENOENT, errno.ENAMETOOLONG, errno.ELOOP,
+                                  errno.EACCES, errno.EPERM])
+def test_bad_path_names_an_unusable_path(code):
+    # a PermissionError cannot be provoked by a process running as root
+    with pytest.raises(InvalidArgumentError, match=f"^cannot read p: {os.strerror(code)}$"):
+        with bad_path("cannot read p"):
+            raise OSError(code, os.strerror(code))
+
+
+def test_bad_path_passes_other_os_errors():
+    with pytest.raises(OSError) as info:
+        with bad_path("cannot write p"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert not isinstance(info.value, InvalidArgumentError)
 
 
 # ---------------------------------------------------------------------------
