@@ -8,7 +8,8 @@ Three little-endian binary formats, each with a 4-byte magic:
                  other as a u64 byte count + its f64 values), trailing CRC32
 
 All writers go through an atomic temp-file + rename, so a crashed write never
-leaves a truncated artifact behind.
+leaves a truncated artifact behind; the file gets the mode open() would give
+it under the process umask.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def _atomic_write(path: str, data: bytes) -> None:
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(data)
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -311,6 +311,148 @@ def test_conv2d_uses_carried_buffer_only_for_its_own_padding(rng):
     assert np.array_equal(ad.conv2d(ad.relu(y), w3).value, ref["3"])
 
 
+# ---------------------------------------------------------------------------
+# cache-blocked conv2d
+
+# blocked values and gradients against the one-block run, relative to the
+# largest magnitude of each array
+BLOCK_RTOL = 1e-13
+
+
+def unblocked_conv2d(x, w, g):
+    """The tap loops without row blocks: value, dx and dw of one layer with
+    no bias or ReLU, for an upstream gradient g."""
+    h, wd, ci = x.shape
+    kh, kw, _, co = w.shape
+    ph, pw = kh // 2, kw // 2
+    wp = wd + 2 * pw
+    n = h * wp
+    pad = np.zeros((h + 2 * ph + 1, wp, ci))
+    pad[ph:ph + h, pw:pw + wd] = x
+    flat = pad.reshape(-1, ci)
+    out = np.zeros((n, co))
+    gx = np.zeros((h, wp, co))
+    gx[:, :wd] = g
+    gx = gx.reshape(n, co)
+    dflat = np.zeros_like(flat)
+    dw = np.empty(w.shape)
+    for dy in range(kh):
+        for dx in range(kw):
+            o = dy * wp + dx
+            ad._gemm_acc(w[dy, dx].T, flat[o:o + n].T, out.T)
+            np.matmul(flat[o:o + n].T, gx, out=dw[dy, dx])
+            ad._gemm_acc(w[dy, dx], gx.T, dflat[o:o + n].T)
+    value = out.reshape(h, wp, co)[:, :wd]
+    return value, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd], dw
+
+
+@pytest.mark.parametrize("hw,ci,co,budget", [((64, 64), 3, 16, None), ((4, 5), 2, 3, 1500)],
+                         ids=["64-3to16-default-budget", "4x5-under-small-budget"])
+def test_conv2d_one_block_layer_is_bitwise_the_unblocked_loop(rng, monkeypatch, hw, ci, co,
+                                                              budget):
+    """A layer that fits in one block (the default 3->16 layer at 64x64, or a
+    small one under a budget that splits larger layers) makes the unblocked
+    calls and matches them bit for bit."""
+    if budget is not None:
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", budget)
+    n = hw[0] * (hw[1] + 2)
+    assert ad._row_blocks(n, ci, co) == [(0, n)]
+    x = rng.normal(size=hw + (ci,))
+    w = rng.normal(size=(3, 3, ci, co)) * 0.3
+    g = rng.normal(size=hw + (co,))
+    xn, wn = ad.Node(x), ad.Node(w)
+    y = ad.conv2d(xn, wn)
+    y._backward(g)
+    for got, ref in zip((y.value, xn.grad, wn.grad), unblocked_conv2d(x, w, g)):
+        assert np.array_equal(got, ref)
+
+
+def run_layers(monkeypatch, budget, x, params):
+    """Values and leaf gradients of a conv chain under a block budget; no
+    pad cell is written by the forward or the backward."""
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", budget)
+    leaves = [ad.Node(x)] + [ad.Node(v) for wb in params for v in wb]
+    outs = conv_chain(leaves[0], list(zip(leaves[1::2], leaves[2::2])))
+    target = np.random.default_rng(1).normal(size=outs[-1].shape)
+    ad.backward(ad.mse_loss(outs[-1], ad.Node(target)))
+    for o in outs:
+        assert_pad_cells_zero(o, params[0][0].shape[:2])
+    return [o.value for o in outs] + [n.grad for n in leaves]
+
+
+BLOCKED = {
+    # hw, kernel, channel widths, budget in bytes
+    "k1": ((9, 11), 1, (3, 5), 700),
+    "k3": ((11, 9), 3, (4, 6), 2000),
+    "k5": ((8, 7), 5, (2, 3), 1500),
+    "chain-k3": ((9, 7), 3, (3, 4, 4, 3), 1500),
+    "chain-k5": ((7, 6), 5, (2, 4, 3), 1000),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKED))
+def test_conv2d_blocked_matches_one_block(rng, monkeypatch, name):
+    """Layers split into 3 or more uneven row blocks give the one-block values
+    and gradients of x, w and b within BLOCK_RTOL; a chain's later layers read
+    the earlier ones' padded buffers, and no pad cell is written."""
+    hw, k, widths, budget = BLOCKED[name]
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", budget)
+    for ci, co in zip(widths, widths[1:]):
+        blocks = ad._row_blocks(hw[0] * (hw[1] + k - 1), ci, co)
+        assert len(blocks) >= 3 and len({r1 - r0 for r0, r1 in blocks}) > 1
+    x = rng.normal(size=hw + (widths[0],))
+    params = [(rng.normal(size=(k, k, ci, co)) * (2.0 / (k * k * ci)) ** 0.5,
+               rng.normal(size=(co,)) * 0.1) for ci, co in zip(widths, widths[1:])]
+    ref = run_layers(monkeypatch, 1 << 40, x, params)
+    for a, r in zip(run_layers(monkeypatch, budget, x, params), ref):
+        assert np.abs(a - r).max() <= BLOCK_RTOL * np.abs(r).max()
+
+
+def test_grad_conv2d_blocked(rng, monkeypatch):
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 800)
+    assert ad._row_blocks(7 * 8, 2, 3) == [(0, 18), (18, 37), (37, 56)]
+    x = rng.normal(size=(7, 6, 2))
+    w = rng.normal(size=(3, 3, 2, 3)) * 0.5
+    b = rng.normal(size=(3,)) * 0.5
+    red = loss_against(rng.normal(size=(7, 6, 3)))
+    fd_check(lambda xn, wn, bn: red(ad.conv2d(xn, wn, bn)), [x, w, b])
+
+
+def test_conv2d_guard_fires_on_a_later_blocks_accumulator(rng, monkeypatch):
+    """The in-place check runs on every tap of every block: a copy made of
+    the second block's slice of the output (forward) or of dflat (dx)
+    raises on that block's first tap."""
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", 1000)
+    n = 11 * 7
+    blocks = ad._row_blocks(n, 2, 3)
+    # every block is longer than the largest tap offset, so each block
+    # makes 9 dgemm calls in the forward and in the dx loop
+    assert len(blocks) == 4 and min(r1 - r0 for r0, r1 in blocks) > 2 * 7 + 2
+    x = ad.Node(rng.normal(size=(11, 5, 2)))
+    w = ad.Node(rng.normal(size=(3, 3, 2, 3)))
+    bias = ad.Node(rng.normal(size=(3,)))
+    dgemm = ad._dgemm
+    seen = []
+
+    def copy_after_first_block(alpha, a, b, beta, c, overwrite_c):
+        seen.append(c.shape)
+        if len(seen) > 9:
+            c = np.ascontiguousarray(c)
+        return dgemm(alpha, a, b, beta, c, overwrite_c=overwrite_c)
+
+    monkeypatch.setattr(ad, "_dgemm", copy_after_first_block)
+    with pytest.raises(NumericalFailureError, match="in place"):
+        ad.conv2d(x, w, bias, relu=True)
+    assert len(seen) == 10 and seen[-1] == (3, blocks[1][1] - blocks[1][0])
+    monkeypatch.setattr(ad, "_dgemm", dgemm)
+    y = ad.conv2d(x, w, bias, relu=True)
+    seen.clear()
+    monkeypatch.setattr(ad, "_dgemm", copy_after_first_block)
+    with pytest.raises(NumericalFailureError, match="in place"):
+        ad.backward(ad.mse_loss(y, ad.Node(np.zeros(y.shape))))
+    assert len(seen) == 10 and seen[-1] == (2, blocks[1][1] - blocks[1][0])
+
+
 def test_grad_bias_add(rng):
     x = rng.normal(size=DIMS)
     b = rng.normal(size=(2,))

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import stat
 import struct
 import zlib
 
@@ -369,6 +370,37 @@ def test_reports_csv_format_and_capping(tmp_path):
     assert lines[1] == "zero,10,0,99.000000,0.00000000,0.00000000,1.500"
     assert lines[2] == "admm,10,1,31.250000,0.02737000,0.01250000,240.000"
     assert lines[3] == "rbf,20,2,nan,nan,nan,3.000"
+
+
+def _write_each_kind(d, model, rng):
+    """Write one file of every kind the package writes; returns the paths."""
+    band = rng.random((4, 3))
+    paths = {k: d / name for k, name in (
+        ("tensor", "t.rmt"), ("mask", "m.rmm"), ("checkpoint", "c.rmu"), ("pgm", "b.pgm"),
+        ("band_csv", "b.csv"), ("reports_csv", "r.csv"), ("imported", "i.rmt"))}
+    rio.write_tensor(paths["tensor"], rng.random((4, 3, 2)))
+    rio.write_mask(paths["mask"], ObservationMask(rng.random((4, 3)) < 0.5))
+    rio.write_checkpoint(paths["checkpoint"], model)
+    rio.export_pgm(paths["pgm"], band)
+    rio.export_band_csv(paths["band_csv"], band)
+    rio.write_reports_csv(paths["reports_csv"], [EvalReport("zero", 10.0, 0, 1.0, 0.1, 0.1, 1.0)])
+    rio.import_band_csvs(paths["imported"], [paths["band_csv"]])
+    paths["minmax"] = d / "i.rmt.minmax.txt"
+    return paths
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, small_model, rng, umask, mode):
+    """The temporary file is created 0600; the file renamed over the target
+    has the mode a plain open() would give it under the process umask."""
+    prev = os.umask(umask)
+    try:
+        paths = _write_each_kind(tmp_path, small_model, rng)
+    finally:
+        os.umask(prev)
+    for kind, p in paths.items():
+        assert stat.S_IMODE(os.stat(p).st_mode) == mode, kind
+    assert list(tmp_path.glob(".tmp-*")) == []
 
 
 def test_masks_and_tensors_use_distinct_magics(tmp_path, rng):
