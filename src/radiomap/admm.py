@@ -232,6 +232,10 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     pq_step = update_pq_classical if prox_mode == "identity" else (lambda st, h: (st.p, st.q))
     d, pd = observed(d, mask)
     hp = (hp if hp is not None else AdmmHyperParams()).resolved(d.shape)
+    # AdmmHyperParams checks its penalties once, when built. The grown ones go
+    # in a plain copy: replace() would re-run that check on the grown mu
+    # against the whole max_iters and fail an uncapped solve part-way
+    hp = SimpleNamespace(**vars(hp))
     ops = numpy_ops()
     state = AdmmState.initial(d, mask)
     history = []
@@ -254,9 +258,9 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
         cur = state.x + state.e
         rel = fro_norm(cur - prev) / max(fro_norm(cur), 1e-12)
         prev = cur
-        hp = replace(hp, mu=min(hp.mu * hp.penalty_growth, hp.penalty_cap),
-                     theta=min(hp.theta * hp.penalty_growth, hp.penalty_cap),
-                     beta=min(hp.beta * hp.penalty_growth, hp.penalty_cap))
+        hp.mu = min(hp.mu * hp.penalty_growth, hp.penalty_cap)
+        hp.theta = min(hp.theta * hp.penalty_growth, hp.penalty_cap)
+        hp.beta = min(hp.beta * hp.penalty_growth, hp.penalty_cap)
         if rel < hp.tol:
             converged = True
             break

@@ -25,10 +25,16 @@ operators run on ndarrays and Nodes alike.
 Gradients accumulate into Node.grad during backward(). Only leaves keep
 theirs: an interior node's gradient is dropped as soon as its backward
 closure has passed it on, so after backward() every interior grad is None.
-The graph's forward values, and what the closures keep for the backward,
-live until the root is dropped. Graph construction can be switched off with
-no_grad(), which shares the forward kernels but records nothing, so
-inference costs no graph memory.
+
+No backward closure reads a node's value at backward time: each captures,
+when its node is built, the arrays its backward reads (a parent's value, a
+mask, singular vectors). So a node's value is needed only by the forward
+code that consumes it, and release() can drop it once that has run; the
+node's parents and closure stay, and backward() gives the same gradients.
+record() collects the nodes built in its body, so a caller can release the
+ones it has used up; what the closures keep lives until the root is
+dropped. Graph construction can be switched off with no_grad(), which shares
+the forward kernels but records nothing, so inference costs no graph memory.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .tensors import project as _project
 from .tensors import unfold as _unfold
 
 _grad_enabled = True
+_recorder = None  # the list record() collects built nodes into, or None
 
 
 @contextlib.contextmanager
@@ -59,6 +66,31 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextlib.contextmanager
+def record():
+    """Collect every graph node built in the body into the yielded list.
+
+    Nothing is collected under no_grad(), where nodes have no graph."""
+    global _recorder
+    prev = _recorder
+    _recorder = []
+    try:
+        yield _recorder
+    finally:
+        _recorder = prev
+
+
+def release(nodes, keep=()) -> None:
+    """Drop the forward value of every node in nodes that is not in keep.
+
+    The value becomes None and must not be read again; parents and the
+    backward closure stay, so backward() through the node is unchanged."""
+    kept = {id(n) for n in keep}
+    for n in nodes:
+        if id(n) not in kept:
+            n.value = None
 
 
 class Node:
@@ -76,6 +108,8 @@ class Node:
         if _grad_enabled:
             self.parents = tuple(parents)
             self._backward = backward
+            if _recorder is not None:
+                _recorder.append(self)
         else:
             self.parents = ()
             self._backward = None
@@ -85,7 +119,8 @@ class Node:
         return self.value.shape
 
     def __repr__(self):
-        return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
+        shape = "released" if self.value is None else self.value.shape
+        return f"Node(shape={shape}, leaf={self._backward is None})"
 
     def __add__(self, other):
         return add(self, other)
@@ -209,12 +244,13 @@ def smul(s, t) -> Node:
     """Scalar times tensor (the only broadcast the engine allows)."""
     s, t = as_node(s), as_node(t)
     _scalar(s, "smul")
+    sv, tv = s.value, t.value
 
     def bw(g):
-        _acc(t, s.value * g)
-        _acc(s, np.asarray(np.sum(g * t.value)))
+        _acc(t, sv * g)
+        _acc(s, np.asarray(np.sum(g * tv)))
 
-    return Node(s.value * t.value, (s, t), bw)
+    return Node(sv * tv, (s, t), bw)
 
 
 def _mul(a, b) -> Node:
@@ -356,6 +392,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
         b = as_node(b)
         if b.value.shape != (co,):
             raise InvalidArgumentError(f"conv2d bias must be ({co},), got {b.value.shape}")
+    wv = w.value
     ph, pw = kh // 2, kw // 2
     hpad, wp = h + 2 * ph + 1, wd + 2 * pw
     n = h * wp
@@ -373,7 +410,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
         for dy in range(kh):
             for dx in range(kw):
                 o = dy * wp + dx
-                _gemm_acc(w.value[dy, dx].T, flat[o + r0:o + r1].T, out_t[:, r0:r1])
+                _gemm_acc(wv[dy, dx].T, flat[o + r0:o + r1].T, out_t[:, r0:r1])
     if b is not None:
         rows = out.reshape(h, wp * co)
         rows += np.tile(b.value, wp)
@@ -392,7 +429,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
             _acc(b, gx[:, :wd].sum(axis=(0, 1)))
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
-        dw = np.empty((len(blocks),) + w.value.shape)
+        dw = np.empty((len(blocks),) + wv.shape)
         # block i takes gx's rows [r0, r1) for dw and dflat's rows [r0, q1)
         # for dx, the last block up to dflat's end
         for i, (r0, r1) in enumerate(blocks):
@@ -403,7 +440,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
                     np.matmul(flat[o + r0:o + r1].T, gx[r0:r1], out=dw[i, dy, dx])
                     lo, hi = max(r0, o), min(q1, o + n)
                     if lo < hi:
-                        _gemm_acc(w.value[dy, dx], gx[lo - o:hi - o].T, dflat[lo:hi].T)
+                        _gemm_acc(wv[dy, dx], gx[lo - o:hi - o].T, dflat[lo:hi].T)
         _acc(x, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd])
         _acc(w, dw.sum(axis=0))
 
@@ -444,14 +481,15 @@ def soft_threshold(x, tau) -> Node:
     x, tau = as_node(x), as_node(tau)
     _scalar(tau, "soft_threshold")
     t = _check_tau(tau.value)
-    active = np.abs(x.value) > t
+    xv = x.value
+    active = np.abs(xv) > t
 
     def bw(g):
         # subgradient 0 exactly at the kink
         _acc(x, np.where(active, g, 0.0))
-        _acc(tau, np.asarray(-np.sum(g * np.sign(x.value) * active)))
+        _acc(tau, np.asarray(-np.sum(g * np.sign(xv) * active)))
 
-    return Node(_shrink(x.value, t), (x, tau), bw)
+    return Node(_shrink(xv, t), (x, tau), bw)
 
 
 def svt(m, tau) -> Node:

@@ -186,18 +186,31 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
     return pq_step
 
 
+def _state_nodes(state: admm.AdmmState) -> list:
+    return [state.x, state.e, state.n, state.p, state.q, state.lam, state.gam, state.phi,
+            *state.m, *state.y]
+
+
 def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
     """Run all blocks; returns the estimate D_hat = X + E as a Node.
 
     The inputs are checked first, so a bad argument inside a block is a
-    computed value (an overflowed scalar, say): a NumericalFailureError."""
+    computed value (an overflowed scalar, say): a NumericalFailureError.
+
+    With the graph on, each block records the nodes it builds. Once block k
+    has run, every value built by blocks k-1 and k is released except block
+    k's output state: the rest of the forward reads only that state, and the
+    backward closures keep what they read. So the graph holds the closures
+    of every block but the forward values of one state. Under no_grad
+    nothing is recorded and nothing released."""
     d, pd = observed(d, mask)
     if d.shape[2] != model.k_bands:
         raise InvalidArgumentError(f"model expects {model.k_bands} bands, got {d.shape[2]}")
     pd = ad.Node(pd)
     state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
+    last = []
     for k, blk in enumerate(model.blocks):
-        with reraise(NumericalFailureError, f"block {k}"):
+        with reraise(NumericalFailureError, f"block {k}"), ad.record() as built:
             state = admm.block_step(state, pd, mask, _block_hp(model, blk),
                                     _learned_pq(model, blk), ad)
         # E too: a non-finite Q from block k-1 reaches E in block k while X
@@ -206,6 +219,8 @@ def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
             if not np.all(np.isfinite(v.value)):
                 raise NumericalFailureError(
                     f"block {k} produced non-finite {name}; scalars {blk.decoded_scalars()}")
+        ad.release(last + built, _state_nodes(state))
+        last = built
     return state.x + state.e
 
 
@@ -249,9 +264,10 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     dataset: sequence of (d_full, mask) pairs. Returns (model, history) where
     history carries per-step training losses ("train") and per-epoch
     validation losses ("val", empty without a validation split). One step's
-    graph is alive at a time: it is dropped when the step ends, and backward
-    keeps gradients only on leaves, so training memory is one forward's values
-    plus one backward's working gradients, whatever the number of steps.
+    graph is alive at a time: it is dropped when the step ends, forward keeps
+    only each block's output state and what the backward closures read, and
+    backward keeps gradients only on leaves. So training memory is one lean
+    graph plus one backward's working gradients, whatever the number of steps.
     """
     cfg = cfg or TrainConfig()
     pairs = [(as_tensor(d), mask) for d, mask in dataset]

@@ -289,6 +289,18 @@ def test_uncapped_penalty_growth_must_stay_finite():
     AdmmHyperParams(penalty_growth=1e300, max_iters=50)  # the default cap bounds it
 
 
+def test_uncapped_solve_grows_penalties_without_rechecking_them(rng):
+    """The construction check bounds mu * growth**max_iters once. The solve
+    must not re-apply it to the grown mu: at growth 2 that check fails near
+    iteration 31, with mu about 2e7 and the overflow some 970 doublings away."""
+    d = rng.random((6, 6, 3))
+    mask = ObservationMask(rng.random((6, 6)) < 0.5)
+    hp = AdmmHyperParams(penalty_cap=float("inf"), penalty_growth=2.0, max_iters=1000,
+                         tol=1e-300)
+    res = solve_admm(d, mask, hp)
+    assert len(res.history) > 40 and np.all(np.isfinite(res.d_hat))
+
+
 def test_hyperparams_lambda_resolution():
     hp = AdmmHyperParams().resolved((64, 32, 3))
     assert hp.lam == pytest.approx(1.0 / 8.0)

@@ -682,6 +682,90 @@ def test_backward_keeps_gradients_only_on_leaves(rng):
     assert all(n.grad is not None and n.grad.shape == n.value.shape for n in leaves)
 
 
+def closure_cases(rng):
+    """name -> (build, leaf values); build returns a scalar root and covers
+    every op, each fed nodes built from the leaves."""
+    x, c = rng.normal(size=DIMS), rng.normal(size=DIMS)
+    mask = ObservationMask(rng.random(DIMS[:2]) < 0.5)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    m = (u * np.array([2.0, 1.2, 0.7, 0.05])) @ v.T  # tau 0.3 keeps rank 3
+    big = x * (2.0 / np.linalg.norm(x))
+    widths = (3, 4, 4, 3)
+    chain = [rng.normal(size=(9, 7, 3))] + [
+        a for ci, co in zip(widths, widths[1:])
+        for a in (rng.normal(size=(3, 3, ci, co)) * (2.0 / (9 * ci)) ** 0.5,
+                  rng.normal(size=(co,)) * 0.1)]
+    c_chain = rng.normal(size=(9, 7, 3))
+
+    def conv_chain_loss(xn, *wb):
+        return ad.mse_loss(conv_chain(xn, list(zip(wb[::2], wb[1::2])))[-1], c_chain)
+
+    return {
+        "add-sub-neg": (lambda a, b: ad.mse_loss(ad.neg(ad.sub(ad.add(a, b), b)), c), [x, c]),
+        "smul-learnable-scalar": (lambda s, t: ad.mse_loss(ad.smul(s, t), c),
+                                  [np.asarray(0.7), x]),
+        "recip-exp-operators": (lambda s, t: ad.mse_loss(t / ad.exp(s) * 3.0, c),
+                                [np.asarray(-0.2), x]),
+        "conv2d-chain-padded": (conv_chain_loss, chain),
+        "conv2d-bias-relu": (lambda xn, wn: ad.mse_loss(
+            ad.relu(ad.bias_add(ad.conv2d(xn, wn), np.full(2, 0.1))), c[:, :, :2]),
+            [x, rng.normal(size=(3, 3, 2, 2))]),
+        "soft-threshold": (lambda xn, tn: ad.mse_loss(ad.soft_threshold(xn, tn), c),
+                           [soft_input(rng), np.asarray(0.3)]),
+        "svt-keeps-rank": (lambda mn, tn: ad.mse_loss(ad.svt(mn, tn), 0.5 * m),
+                           [m, np.asarray(0.3)]),
+        "unfold-fold-project": (lambda t: ad.mse_loss(ad.fold(ad.unfold(
+            ad.project(ad.project(t, mask), mask, complement=True) + ad.project(t, mask), 2),
+            2, DIMS), c), [x]),
+        "scale-to-ball-active": (lambda xn, rn: ad.mse_loss(ad.scale_to_ball(xn, rn), c),
+                                 [big, np.asarray(0.9)]),
+        "scale-to-ball-inactive": (lambda xn, rn: ad.mse_loss(ad.scale_to_ball(xn, rn), c),
+                                   [big, np.asarray(5.0)]),
+        "l1-plus-mse": (lambda a, b: ad.add(ad.l1_loss(a, b), ad.mse_loss(b, a)), [x, c]),
+    }
+
+
+@pytest.mark.parametrize("name", list(closure_cases(np.random.default_rng(0))))
+def test_backward_reads_no_forward_value(rng, name):
+    """Each closure captures what its backward reads when its node is built:
+    with every value but the root's released, the leaves included, backward
+    gives the same gradients bit for bit."""
+    build, values = closure_cases(rng)[name]
+    runs = []
+    for release in (False, True):
+        leaves = [ad.Node(np.array(v, dtype=float)) for v in values]
+        with ad.record() as built:
+            root = build(*leaves)
+        assert built and root is built[-1]
+        if release:
+            ad.release(leaves + built, keep=[root])
+        ad.backward(root)
+        runs.append([n.grad for n in leaves])
+    grads, ref = runs
+    assert ref[0] is not None  # the inactive ball passes no gradient to its radius
+    for a, b in zip(grads, ref):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_record_collects_graph_nodes_only(rng):
+    """record() collects every node built in its body, constants wrapped by
+    an op included, restores the outer recorder, and collects nothing under
+    no_grad; release() drops values but keeps parents and closures."""
+    a = ad.Node(rng.normal(size=DIMS))
+    with ad.record() as outer:
+        b = ad.smul(2.0, a)
+        with ad.record() as inner:
+            c = ad.add(b, b)
+        with ad.no_grad(), ad.record() as none:
+            ad.add(b, b)
+    assert ad._recorder is None
+    assert len(outer) == 2 and outer[1] is b and inner == [c] and none == []
+    ad.release(outer + inner, keep=[c])
+    assert b.value is None and c.value is not None and b.parents[1] is a
+    assert "released" in repr(b)
+
+
 def test_zero_grads(rng):
     n = ad.Node(rng.normal(size=DIMS))
     loss = ad.mse_loss(n, ad.Node(np.zeros(DIMS)))
