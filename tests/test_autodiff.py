@@ -4,6 +4,8 @@ The svt backward uses a fixed singular-vector pattern, so its deviation from
 finite differences is measured and printed but not asserted.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from gradcheck import fd_check, loss_against
@@ -708,6 +710,8 @@ def closure_cases(rng):
         "recip-exp-operators": (lambda s, t: ad.mse_loss(t / ad.exp(s) * 3.0, c),
                                 [np.asarray(-0.2), x]),
         "conv2d-chain-padded": (conv_chain_loss, chain),
+        "conv2d-bias-no-relu": (lambda xn, wn, bn: ad.mse_loss(ad.conv2d(xn, wn, bn), c),
+                                [x, rng.normal(size=(3, 3, 2, 2)), np.array([0.1, -0.2])]),
         "conv2d-bias-relu": (lambda xn, wn: ad.mse_loss(
             ad.relu(ad.bias_add(ad.conv2d(xn, wn), np.full(2, 0.1))), c[:, :, :2]),
             [x, rng.normal(size=(3, 3, 2, 2))]),
@@ -746,6 +750,21 @@ def test_backward_reads_no_forward_value(rng, name):
     assert ref[0] is not None  # the inactive ball passes no gradient to its radius
     for a, b in zip(grads, ref):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_released_conv2d_keeps_its_buffer_only_for_the_relu_mask(rng, relu):
+    """conv2d's backward reads its own value only to mask by the ReLU, so
+    once the node is released its zero-bordered buffer is freed when the
+    layer has no ReLU, and kept for the mask when it has one."""
+    x, w, b = (ad.Node(rng.normal(size=s)) for s in (DIMS, (3, 3, 2, 3), (3,)))
+    y = ad.conv2d(x, w, b, relu=relu)
+    buf = weakref.ref(y.padded)
+    root = ad.mse_loss(y, np.zeros(y.value.shape))
+    ad.release([y], keep=[root])
+    assert (buf() is not None) == relu
+    ad.backward(root)
+    assert all(p.grad is not None for p in (x, w, b))
 
 
 def test_record_collects_graph_nodes_only(rng):

@@ -1,5 +1,6 @@
 """Path loss model, fits, kernel interpolation, and the scene generator."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from rank import numerical_rank
+from scipy.ndimage import gaussian_filter
 
 from radiomap.errors import InvalidArgumentError
 from radiomap.propagation import (RBF_MAX_KERNEL_BYTES, LdplParams, SceneSpec,
-                                  generate_scene, ldpl_field, ldpl_interpolate,
-                                  rbf_interpolate, sample_mask)
+                                  _gaussian_filter, generate_scene, ldpl_field,
+                                  ldpl_interpolate, rbf_interpolate, sample_mask)
 from radiomap.tensors import ObservationMask, unfold
 
 
@@ -274,7 +276,53 @@ def test_rbf_kernel_is_built_and_factored_in_one_buffer(rng, shape_param, ridged
 
 
 # ---------------------------------------------------------------------------
+# shadowing filter
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 64), (128, 128), (7, 5), (33, 70),
+                                   (200, 3), (1, 9), (9, 1), (1, 1)])
+def test_gaussian_filter_matches_scipy_bitwise(shape):
+    """The shadowing filter returns scipy's reflect-mode gaussian_filter bit
+    for bit: square and non-square grids, single rows and columns, sigmas
+    across the generator's [4, 8) and below and above it, where the radius
+    int(4*sigma + 0.5) outruns the axis (80 at sigma 20), and a sigma small
+    enough that neither filters."""
+    rng = np.random.default_rng(sum(shape))
+    for sigma in (1e-200, 0.3, 0.5, 1.0, 2.5, 4.0, 4.5, 5.37, 6.0, 7.99, 12.0, 20.0):
+        x = rng.standard_normal(shape)
+        assert np.array_equal(_gaussian_filter(x, sigma),
+                              gaussian_filter(x, sigma, mode="reflect")), sigma
+
+
+# ---------------------------------------------------------------------------
 # scene generator
+
+# SHA-256 of the little-endian ground truth of three fixed scenes, recorded
+# when the shadowing went through scipy.ndimage.gaussian_filter. numpy's exp
+# and log10 round differently with and without its AVX-512 kernels, so each
+# scene has two hashes: with them and with NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR" (numpy 2.4, x86-64). A numpy whose functions round
+# differently again needs its hashes recorded from a known-good commit.
+GOLDEN_SCENES = {
+    "16x16-one-tx": (dict(h=16, w=16, n_transmitters=1, n_obstructions=4, seed=11), (
+        "d0e772082685517349d05aff0fcd809fde9990af422b9d4de955074425fc7380",
+        "dcfccc43bd003e9602e580925a9b2e64f86be764599448624a4a2f34af055ff3")),
+    "64x64-two-tx": (dict(h=64, w=64, n_transmitters=2, n_obstructions=40, seed=12), (
+        "1340a0c30c76fbdb43d4f66e746bda42e43c65ae282187bdd89d2229c3935b75",
+        "bf7b0b3bd1e0fa01f4d0763e7257c7e02128fa1a828e56a9208239bac8298141")),
+    "128x128": (dict(h=128, w=128, n_transmitters=1, n_obstructions=100, seed=13), (
+        "9471a0e72eef566289cf8369f092a03c1ee82e08f96afebb9c4191ee36a1479c",
+        "70bd178ac3aa833c301f5feca20b845945842eec3baa5cd1e1d5e551338719c7")),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SCENES))
+def test_scene_matches_golden_hash(name):
+    """Scenes, and the fixtures and benchmark inputs built on them, do not
+    drift: the ground truth of a fixed spec keeps its recorded bits."""
+    spec, digests = GOLDEN_SCENES[name]
+    truth = generate_scene(SceneSpec.random(k_bands=3, **spec)).ground_truth
+    assert hashlib.sha256(truth.astype("<f8").tobytes()).hexdigest() in digests
+
 
 def test_scene_deterministic_and_normalized():
     spec = SceneSpec.random(32, 32, 3, n_obstructions=10, obstruction_depth=12.0, seed=5)
@@ -327,7 +375,7 @@ def test_scene_spec_validation():
 @pytest.mark.parametrize("field", ["d0", "shadow_sigma", "shadow_corr", "obstruction_depth"])
 def test_scene_settings_must_be_finite(field, value):
     """A non-finite setting is named when the spec is built, not met later as
-    a NaN scene or a scipy traceback."""
+    a NaN scene or a traceback from the shadowing filter."""
     with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
         SceneSpec.random(16, 16, 3, seed=0, **{field: value})
     if field != "obstruction_depth":
