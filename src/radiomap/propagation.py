@@ -6,6 +6,11 @@ dependent (so the band-mode unfolding of the background has rank <= 2),
 and a sparse set of single-cell obstructions.  Every generated map is
 min-max normalized to [0, 1] jointly across bands.
 
+The Gaussian RBF baseline keeps its n x n kernel in LAPACK's rectangular
+full packed (RFP) storage, n(n+1)/2 words, and factors and solves it there
+(dpftrf, dpftrs), with LAPACK's 1-norm condition estimator ported to that
+storage; no full n x n array is made.
+
 The shadowing filter is numpy only. scipy serves the RBF solve alone and
 is imported inside rbf_interpolate, so importing this module does not load
 it, and neither does generating a scene.
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .tensors import ObservationMask, observed
 
 # Band scaling of the aggregate loss; keeps cross-band rows affinely related.
@@ -26,13 +31,10 @@ BAND_LOSS_FACTOR = 0.05
 REFERENCE_RANGE = 40.0
 N_EXP_BOUNDS = (1.5, 6.0)
 
-# Largest n_obs x n_obs float64 kernel rbf_interpolate will build. The
-# kernel is factored in its own buffer, so this is the whole n x n footprint.
+# Largest packed float64 kernel rbf_interpolate will build: n(n+1)/2 words,
+# 4*n*(n+1) bytes, for n observed cells (16,383 cells at 1 GiB). The kernel is
+# factored in its own buffer, so this is the call's whole quadratic footprint.
 RBF_MAX_KERNEL_BYTES = 2**30
-
-# Elements of the row block of column factors multiplied into the kernel at
-# once (1 MiB): small next to the kernel, large enough to amortize the loop.
-_RBF_BLOCK_ELEMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -340,28 +342,93 @@ class RbfFit:
     ridged: bool
 
 
+def _rbf_kernel_rfp(er, ec, rr, cc, ridge=0.0):
+    """The kernel's lower triangle in LAPACK's rectangular full packed
+    storage (TRANSR='N', UPLO='L'), with `ridge` added to its diagonal.
+
+    RFP keeps a symmetric n x n matrix in n(n+1)/2 words, as k = ceil(n/2)
+    columns of n + t words (t = 1 for n even, 0 for n odd). Column j holds
+    K[k+j-1+t, k:k+j+t], a row of the trailing triangle (empty for j = 0 when
+    n is odd), then K[j:n, j], a column of the leading ones. K is exactly
+    symmetric, so both parts are computed as rows, K[a, b0:b1] =
+    er[rr[a], b0:b1] * ec[cc[a], b0:b1], straight into the buffer: the same
+    products as the full kernel's, so the buffer is LAPACK's dtrttf of it bit
+    for bit. The diagonal is the first entry of each column's second part
+    and the last of each non-empty first part.
+    """
+    n = len(rr)
+    k, t = (n + 1) // 2, 1 - n % 2
+    arf = np.empty(n * (n + 1) // 2)
+    cols = arf.reshape(k, n + t)
+    for j in range(k):
+        a = k + j - 1 + t
+        np.multiply(er[rr[a], k:k + j + t], ec[cc[a], k:k + j + t], out=cols[j, :j + t])
+        np.multiply(er[rr[j], j:], ec[cc[j], j:], out=cols[j, j + t:])
+    if ridge:
+        diag = np.arange(k) * (n + t + 1) + t
+        arf[diag] += ridge
+        arf[diag[1 - t:] - 1] += ridge
+    return arf
+
+
+def _lacn2(solve, n: int) -> float:
+    """Estimate ||A^-1||_1 of a symmetric n x n matrix A, given x -> A^-1 x.
+
+    LAPACK's dlacn2 (Higham 1988, ACM TOMS 14(4)), ported step for step as
+    dpocon drives it: at most ITMAX = 5 iterations, stopping early when the
+    sign vector repeats or the estimate stops growing, then the alternating
+    vector +-(1 + i/(n-1)) as a last guard. dlacn2 also asks for products
+    with A^-T, which for a symmetric A is the same solve.
+    """
+    def sign(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(x[0])
+    est = np.abs(x).sum()
+    sgn = sign(x)
+    j = int(np.argmax(np.abs(solve(sgn))))
+    for _ in range(2, 6):  # iterations 2..ITMAX
+        e_j = np.zeros(n)
+        e_j[j] = 1.0
+        x = solve(e_j)
+        est_old, est = est, np.abs(x).sum()
+        if np.array_equal(sign(x), sgn) or est <= est_old:
+            break
+        sgn = sign(x)
+        x = solve(sgn)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if x[j_last] == abs(x[j]):
+            break
+    alt = 1.0 + np.arange(n) / (n - 1)
+    alt[1::2] *= -1.0
+    return max(est, 2.0 * (np.abs(solve(alt)).sum() / (3 * n)))
+
+
 def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
                     shape_param: float | None = None) -> RbfFit:
     """Interpolate with kernel exp(-(r/shape)^2) centered on observed cells.
 
     The kernel system is shared across bands (one mask) and solved by one
-    Cholesky factorization.  A system whose factorization fails, or whose
-    LAPACK 1-norm condition estimate exceeds 1e12, gets a 1e-8 ridge and
-    the result is flagged.  The Gaussian kernel is separable, so the kernel
-    and the evaluation on the grid are built from per-row and per-column
-    factors.  More observed cells than RBF_MAX_KERNEL_BYTES allows raise
-    InvalidArgumentError before the kernel is built.  shape_param
-    defaults to a fixed 3-cell width; tying it to observation density makes
+    Cholesky factorization of the kernel in rectangular full packed storage,
+    n(n+1)/2 words for n observed cells.  A system whose factorization
+    fails, or whose 1-norm condition estimate (LAPACK's dpocon estimator,
+    ported to that storage) exceeds 1e12, gets a 1e-8 ridge and the result
+    is flagged.  The Gaussian kernel is separable, so the kernel and the
+    evaluation on the grid are built from per-row and per-column factors.
+    More observed cells than RBF_MAX_KERNEL_BYTES allows raise
+    InvalidArgumentError before the kernel is built.  shape_param defaults
+    to a fixed 3-cell width; tying it to observation density makes
     reconstruction quality non-monotone in sampling rate.
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-    from scipy.linalg.lapack import dpocon
+    from scipy.linalg.lapack import dpftrf, dpftrs
     _, pd = observed(d, mask)
     n_obs = mask.count
-    if 8 * n_obs**2 > RBF_MAX_KERNEL_BYTES:
+    if 4 * n_obs * (n_obs + 1) > RBF_MAX_KERNEL_BYTES:
         raise InvalidArgumentError(
-            f"rbf kernel for {n_obs} observed cells needs {8 * n_obs**2} bytes, "
-            f"over the {RBF_MAX_KERNEL_BYTES}-byte limit")
+            f"rbf kernel for {n_obs} observed cells needs {4 * n_obs * (n_obs + 1)} bytes "
+            f"in packed storage, over the {RBF_MAX_KERNEL_BYTES}-byte limit")
     if shape_param is None:
         shape_param = 3.0
     if not 0 < shape_param < np.inf:
@@ -373,33 +440,33 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     er = np.exp(-(np.arange(h, dtype=np.float64)[:, None] - rr) ** 2 / shape_param**2)
     ec = np.exp(-(np.arange(w, dtype=np.float64)[:, None] - cc) ** 2 / shape_param**2)
 
-    def kernel():
-        kmat = er[rr]
-        step = max(1, _RBF_BLOCK_ELEMS // n_obs)
-        for i in range(0, n_obs, step):
-            kmat[i:i + step] *= ec[cc[i:i + step]]
-        return kmat
+    # the entries are positive, so the 1-norm is the largest column sum, and
+    # column b sums er[r, b] * ec[c, b] over the observed cells (r, c)
+    anorm = ((mask.sampled @ ec) * er).sum(axis=0).max()
 
-    # the kernel is exactly symmetric, so its transpose is the same matrix in
-    # the F order LAPACK factors in place: the factor overwrites the kernel
-    kmat = kernel()
-    # the entries are positive, so the 1-norm is the largest column sum
-    anorm = kmat.sum(axis=0).max()
-    try:
-        chol, _ = cho_factor(kmat.T, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        ridged = True
-    else:
-        rcond, _ = dpocon(chol, anorm, uplo="L")
-        ridged = rcond < 1e-12
+    def solve(b):
+        return dpftrs(n_obs, chol, b, transr="N", uplo="L")[0]
+
+    # the factor overwrites the packed kernel
+    chol, info = dpftrf(n_obs, _rbf_kernel_rfp(er, ec, rr, cc), transr="N", uplo="L",
+                        overwrite_a=1)
+    ridged = info != 0
+    if not ridged:
+        # dpocon's reciprocal condition estimate, its solves on the packed factor
+        ainvnm = _lacn2(lambda x: solve(x[:, None])[:, 0], n_obs)
+        ridged = 1.0 / ainvnm / anorm < 1e-12
     if ridged:
         # built again, since the factorization overwrote it; the old buffer
         # is released first so that two kernels never coexist
-        kmat = chol = None
-        kmat = kernel()
-        kmat[np.diag_indices(n_obs)] += 1e-8
-        chol, _ = cho_factor(kmat.T, lower=True, overwrite_a=True, check_finite=False)
-    weights = cho_solve((chol, True), pd[rr, cc, :], check_finite=False)  # (n_obs, k)
+        chol = None
+        chol, info = dpftrf(n_obs, _rbf_kernel_rfp(er, ec, rr, cc, ridge=1e-8),
+                            transr="N", uplo="L", overwrite_a=1)
+        if info != 0:
+            raise NumericalFailureError(
+                f"rbf kernel of {n_obs} observed cells is not positive definite "
+                f"even with a 1e-8 ridge")
+    weights = solve(pd[rr, cc, :])  # (n_obs, k)
+    chol = None  # released before the evaluation's k x h x n temporary is made
 
     # est[:, :, b] = er @ diag(weights[:, b]) @ ec.T
     est = (er * weights.T[:, None, :]) @ ec.T

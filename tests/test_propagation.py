@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from rank import numerical_rank
+from scipy.linalg import blas, lapack
 from scipy.ndimage import gaussian_filter
 
-from radiomap.errors import InvalidArgumentError
+from radiomap import propagation
+from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.propagation import (RBF_MAX_KERNEL_BYTES, LdplParams, SceneSpec,
-                                  _gaussian_filter, generate_scene, ldpl_field,
-                                  ldpl_interpolate, rbf_interpolate, sample_mask)
+                                  _gaussian_filter, _lacn2, _rbf_kernel_rfp,
+                                  generate_scene, ldpl_field, ldpl_interpolate,
+                                  rbf_interpolate, sample_mask)
 from radiomap.tensors import ObservationMask, unfold
 
 
@@ -207,6 +210,93 @@ def test_rbf_matches_dense_reference(side, percent, k, shape_param):
     assert np.max(np.abs(fit.values - ref)) <= 1e-8
 
 
+@pytest.mark.parametrize("cells", [[(4, 5)], [(0, 0)], [(4, 5), (4, 6)], [(0, 0), (11, 8)]],
+                         ids=["one", "one-corner", "two-adjacent", "two-apart"])
+def test_rbf_one_and_two_observations_match_dense_reference(rng, cells):
+    """The packed kernel's smallest cases: n = 1 (one column, no first part)
+    and n = 2 (one column of three words)."""
+    d = rng.random((12, 9, 2))
+    sampled = np.zeros((12, 9), dtype=bool)
+    sampled[tuple(np.array(cells).T)] = True
+    mask = ObservationMask(sampled)
+    fit = rbf_interpolate(d, mask)
+    assert not fit.ridged
+    assert np.max(np.abs(fit.values - _rbf_dense_reference(d, mask, 3.0))) <= 1e-12
+
+
+def _rbf_factors(mask, shape_param):
+    """rbf_interpolate's separable factors and the full n x n kernel,
+    er[rr] * ec[cc]."""
+    h, w = mask.shape
+    rr, cc = np.nonzero(mask)
+    er = np.exp(-(np.arange(h, dtype=np.float64)[:, None] - rr) ** 2 / shape_param**2)
+    ec = np.exp(-(np.arange(w, dtype=np.float64)[:, None] - cc) ** 2 / shape_param**2)
+    return er, ec, rr, cc, er[rr] * ec[cc]
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-8], ids=["plain", "ridged"])
+@pytest.mark.parametrize("n_obs", [1, 2, 3, 4, 7, 8, 51, 64])
+def test_rbf_packed_kernel_is_dtrttf_of_dense_kernel(rng, n_obs, ridge):
+    """The packed buffer is LAPACK's RFP copy (TRANSR='N', UPLO='L') of the
+    full kernel bit for bit, odd and even n, with and without the ridge."""
+    flat = np.zeros(12 * 12, dtype=bool)
+    flat[rng.choice(flat.size, n_obs, replace=False)] = True
+    er, ec, rr, cc, kmat = _rbf_factors(flat.reshape(12, 12), 3.0)
+    assert np.array_equal(kmat, kmat.T)
+    kmat[np.diag_indices(n_obs)] += ridge
+    ref, info = lapack.dtrttf(kmat, transr="N", uplo="L")
+    assert info == 0
+    packed = _rbf_kernel_rfp(er, ec, rr, cc, ridge=ridge)
+    assert packed.shape == (n_obs * (n_obs + 1) // 2,)
+    assert np.array_equal(packed, ref)
+
+
+def _test_kernels():
+    """64x64 kernels at the benchmark's sampling rates, then the two kernels
+    of test_rbf_ridge_flag_on_duplicate_scale."""
+    for percent in (5.0, 10.0, 20.0, 50.0):
+        yield f"64x64-{percent:g}%", sample_mask(64, 64, percent, seed=2).sampled, 3.0
+    for shape_param in (1e6, 40.0):
+        rng = np.random.default_rng(0)  # the rng fixture, drawn as that test draws
+        rng.random((8, 8, 1))
+        yield f"ridge-flag-{shape_param:g}", rng.random((8, 8)) < 0.4, shape_param
+
+
+_KERNELS = list(_test_kernels())
+
+
+@pytest.mark.parametrize("name, mask, shape_param", _KERNELS, ids=[k[0] for k in _KERNELS])
+def test_rbf_condition_estimate_is_dpocons(name, mask, shape_param):
+    """The ported estimator is LAPACK's: driven by dpocon's own solves on the
+    dense factor (two dtrsv) it returns dpocon's rcond to 1e-12. Driven by
+    the packed factor's solves, as rbf_interpolate drives it, it differs by
+    at most eps * cond (the solves' own rounding, cond ~ 1/rcond), and the
+    ridge decision, rcond < 1e-12 or a failed factorization, is dpocon's."""
+    er, ec, rr, cc, kmat = _rbf_factors(mask, shape_param)
+    n = len(rr)
+    anorm = kmat.sum(axis=0).max()
+    assert ((mask @ ec) * er).sum(axis=0).max() == pytest.approx(anorm, rel=1e-14)
+    chol, info = lapack.dpotrf(kmat, lower=1)
+    packed, packed_info = lapack.dpftrf(n, _rbf_kernel_rfp(er, ec, rr, cc), transr="N",
+                                        uplo="L")
+    if shape_param == 1e6:  # numerically all ones: both factorizations break down
+        assert info > 0 and packed_info > 0
+        return
+    assert info == 0 and packed_info == 0
+    rcond, _ = lapack.dpocon(chol, anorm, uplo="L")
+
+    def dense(x):
+        return blas.dtrsv(chol, blas.dtrsv(chol, x, lower=1), lower=1, trans=1)
+
+    def rfp(x):
+        return lapack.dpftrs(n, packed, x[:, None], transr="N", uplo="L")[0][:, 0]
+
+    assert 1.0 / _lacn2(dense, n) / anorm == pytest.approx(rcond, rel=1e-12)
+    ported = 1.0 / _lacn2(rfp, n) / anorm
+    assert ported == pytest.approx(rcond, rel=max(1e-12, np.finfo(float).eps / rcond))
+    assert (ported < 1e-12) == (rcond < 1e-12) == (name == "ridge-flag-40")
+
+
 @pytest.mark.parametrize("shape_param, factor_fails", [
     # the kernel is numerically all-ones: Cholesky breaks down
     pytest.param(1e6, True, id="factor-fails"),
@@ -242,6 +332,32 @@ def test_rbf_validation(rng):
         rbf_interpolate(d, ObservationMask(np.ones((6, 6), dtype=bool)))
 
 
+def test_rbf_guard_counts_the_packed_kernel(monkeypatch):
+    """The limit is on the packed kernel's 4*n*(n+1) bytes: the largest n it
+    admits runs, and n + 1 is refused before any allocation of that order."""
+    n = 1000
+    monkeypatch.setattr(propagation, "RBF_MAX_KERNEL_BYTES", 4 * n * (n + 1))
+    rng = np.random.default_rng(3)
+    d = rng.random((64, 64, 1))
+    cells = rng.choice(64 * 64, n + 1, replace=False)
+
+    def observe(count):
+        flat = np.zeros(64 * 64, dtype=bool)
+        flat[cells[:count]] = True
+        return ObservationMask(flat.reshape(64, 64))
+
+    fit = rbf_interpolate(d, observe(n))
+    assert np.all(np.isfinite(fit.values))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgumentError, match="limit"):
+            rbf_interpolate(d, observe(n + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d.nbytes < 4 * n * (n + 1)
+
+
 def test_rbf_kernel_memory_guard():
     # every cell of 256 x 256 observed: a 34 GB kernel, refused before any
     # allocation proportional to n_obs^2
@@ -261,8 +377,9 @@ def test_rbf_kernel_memory_guard():
 @pytest.mark.parametrize("shape_param, ridged", [(3.0, False), (12.0, True)],
                          ids=["plain", "ridged"])
 def test_rbf_kernel_is_built_and_factored_in_one_buffer(rng, shape_param, ridged):
-    """The n x n kernel is the call's whole quadratic footprint: it is factored
-    in place, with no second n x n array for a product, copy or ridged kernel."""
+    """The packed kernel, n(n+1)/2 words, is the call's whole quadratic
+    footprint: it is factored in place, with no full n x n array and no
+    second kernel for a product, copy or ridged kernel."""
     d = rng.random((64, 64, 3))
     mask = sample_mask(64, 64, 50.0, seed=2)
     tracemalloc.start()
@@ -272,7 +389,20 @@ def test_rbf_kernel_is_built_and_factored_in_one_buffer(rng, shape_param, ridged
     finally:
         tracemalloc.stop()
     assert fit.ridged == ridged
-    assert peak < 1.5 * 8 * mask.count**2
+    # a full n x n kernel alone takes 8 * n**2 bytes; the packed one 4 * n * (n + 1)
+    assert peak < 0.75 * 8 * mask.count**2
+
+
+def test_rbf_raises_when_the_ridged_kernel_does_not_factor(rng, monkeypatch):
+    """A ridged kernel that still fails to factor is a numerical failure,
+    not a factor used half-made."""
+    def failing(n, a, **kwargs):
+        return a, 1
+
+    monkeypatch.setattr(lapack, "dpftrf", failing)
+    d = rng.random((8, 8, 1))
+    with pytest.raises(NumericalFailureError, match="ridge"):
+        rbf_interpolate(d, ObservationMask(rng.random((8, 8)) < 0.4))
 
 
 # ---------------------------------------------------------------------------
