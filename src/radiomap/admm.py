@@ -17,7 +17,8 @@ the data exactly each sweep, giving the standard baseline for pure low-rank
 completion.
 """
 
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -95,7 +96,7 @@ class AdmmState:
     unrolled network.
 
     lam, gam, phi are the multipliers of the data-fit, x-split, and
-    e-split constraints; y[i] are the multipliers tying x to m[i].
+    e-split constraints; y[i] tie x to the auxiliaries m[i] each step recomputes.
     """
 
     x: np.ndarray
@@ -106,8 +107,7 @@ class AdmmState:
     lam: np.ndarray
     gam: np.ndarray
     phi: np.ndarray
-    m: list = field(default_factory=list)
-    y: list = field(default_factory=list)
+    y: list
 
     @classmethod
     def initial(cls, d: np.ndarray, mask: ObservationMask, leaf=lambda a: a) -> "AdmmState":
@@ -116,23 +116,18 @@ class AdmmState:
         zeros = lambda: leaf(np.zeros_like(d))
         return cls(
             x=leaf(project(d, mask)), e=zeros(), n=zeros(), p=zeros(), q=zeros(),
-            lam=zeros(), gam=zeros(), phi=zeros(),
-            m=[zeros() for _ in MODES], y=[zeros() for _ in MODES],
+            lam=zeros(), gam=zeros(), phi=zeros(), y=[zeros() for _ in MODES],
         )
 
 
 # The update steps below are the only copy of the iteration. They are written
 # with operators only, so they run on ndarrays (the classical solvers) and on
-# autodiff Nodes (the unrolled network) alike. The kernels they need come from
-# `ops`: the numpy namespace of numpy_ops() or the radiomap.autodiff module.
+# autodiff Nodes (the unrolled network) alike. The kernels they need are
+# attributes of `ops`: the radiomap.autodiff module, or NUMPY, this module
+# itself. Its kernels are looked up at each call, so a name rebound here after
+# import (a tracing wrapper, say) is the one the classical solvers use.
 # pd is the data projected onto the observed cells.
-
-def numpy_ops() -> SimpleNamespace:
-    """The numpy kernels, read from this module's names at each call, so a
-    name rebound here after import (a tracing wrapper, say) is the one the
-    solvers use."""
-    return SimpleNamespace(svt=svt, fold=fold, unfold=unfold, soft_threshold=soft_threshold,
-                           project=project, scale_to_ball=scale_to_ball)
+NUMPY = sys.modules[__name__]
 
 
 def psi_x(state: AdmmState, pd, hp: AdmmHyperParams):
@@ -149,9 +144,9 @@ def update_m_i(state: AdmmState, hp: AdmmHyperParams, ops) -> list:
             for i, mode in enumerate(MODES)]
 
 
-def update_x(state: AdmmState, psi, hp: AdmmHyperParams):
-    """Closed-form x step: average of the auxiliaries and the consensus target."""
-    terms = [hp.rho * mi - yi for mi, yi in zip(state.m, state.y)]
+def update_x(state: AdmmState, m: list, psi, hp: AdmmHyperParams):
+    """Closed-form x step: average of the auxiliaries m and the consensus target."""
+    terms = [hp.rho * mi - yi for mi, yi in zip(m, state.y)]
     acc = sum(terms[1:], terms[0])  # no int 0 start: a Node cannot add it
     return (acc + (hp.mu + hp.theta) * psi) / (3.0 * hp.rho + hp.mu + hp.theta)
 
@@ -175,29 +170,29 @@ def update_pq_classical(state: AdmmState, hp: AdmmHyperParams):
     return state.x + state.gam / hp.theta, state.e + state.phi / hp.beta
 
 
-def update_multipliers(state: AdmmState, pd, hp: AdmmHyperParams) -> AdmmState:
-    """Dual ascent on every constraint at the current penalties."""
+def update_multipliers(state: AdmmState, m: list, pd, hp: AdmmHyperParams) -> AdmmState:
+    """Dual ascent on every constraint at the current penalties, with this step's m."""
     return replace(
         state,
         lam=state.lam + hp.mu * (pd - state.x - state.e - state.n),
         gam=state.gam + hp.theta * (state.x - state.p),
         phi=state.phi + hp.beta * (state.e - state.q),
-        y=[yi + hp.rho * (state.x - mi) for yi, mi in zip(state.y, state.m)],
+        y=[yi + hp.rho * (state.x - mi) for yi, mi in zip(state.y, m)],
     )
 
 
 def block_step(state: AdmmState, pd, mask: ObservationMask, hp, pq_step, ops) -> AdmmState:
-    """One iteration: M, X, E and N in place, then P/Q, then the multipliers.
+    """One iteration: M, then X, E and N in place, then P/Q, then the multipliers.
 
     hp carries alpha, rho, mu, theta, beta, lam and delta (floats, or Nodes
     for the learned scalars); pq_step(state, hp) returns the new (p, q).
     """
-    state.m = update_m_i(state, hp, ops)
-    state.x = update_x(state, psi_x(state, pd, hp), hp)
+    m = update_m_i(state, hp, ops)
+    state.x = update_x(state, m, psi_x(state, pd, hp), hp)
     state.e = update_e(state, pd, hp, ops)
     state.n = update_n(state, pd, mask, hp, ops)
     state.p, state.q = pq_step(state, hp)
-    return update_multipliers(state, pd, hp)
+    return update_multipliers(state, m, pd, hp)
 
 
 def primal_residual(state: AdmmState, pd) -> float:
@@ -236,13 +231,12 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     # in a plain copy: replace() would re-run that check on the grown mu
     # against the whole max_iters and fail an uncapped solve part-way
     hp = SimpleNamespace(**vars(hp))
-    ops = numpy_ops()
     state = AdmmState.initial(d, mask)
     history = []
     prev = state.x + state.e
     converged = False
     for it in range(hp.max_iters):
-        state = block_step(state, pd, mask, hp, pq_step, ops)
+        state = block_step(state, pd, mask, hp, pq_step, NUMPY)
         if check_contracts:
             ball = fro_norm(project(state.n, mask))
             if not ball <= hp.delta + 1e-12:
@@ -279,12 +273,11 @@ def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: flo
     """
     d, pd = observed(d, mask)
     hp = AdmmHyperParams(alpha=alpha, rho=rho, max_iters=max_iters, tol=tol)
-    ops = numpy_ops()
     # the M-step reads only x and y
     state = SimpleNamespace(x=pd.copy(), y=[np.zeros_like(d) for _ in MODES])
     on = mask.sampled[:, :, None]
     for _ in range(max_iters):
-        ms = update_m_i(state, hp, ops)
+        ms = update_m_i(state, hp, NUMPY)
         x_new = sum(mi - yi / rho for mi, yi in zip(ms, state.y)) / 3.0
         x_new = np.where(on, pd, x_new)
         state.y = [yi + rho * (x_new - mi) for yi, mi in zip(state.y, ms)]

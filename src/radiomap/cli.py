@@ -187,6 +187,10 @@ def _cmd_sweep(args) -> int:
         if "unroll" in wanted and model is None:
             raise InvalidArgumentError("sweep.methods includes unroll but sweep.model is not set")
         methods = {name: methods[name] for name in wanted}
+    k_bands = scenes[0].shape[2]
+    if "unroll" in methods and model.k_bands != k_bands:
+        raise InvalidArgumentError(
+            f"sweep.model expects {model.k_bands} bands, but the scenes have {k_bands}")
 
     reports = sweep(methods,
                     scenes,

@@ -46,9 +46,17 @@ def _methods(raw: str) -> tuple:
     for n in names:
         if n not in METHODS:
             raise ValueError(f"unknown method {n!r}, know {'/'.join(METHODS)}")
-    if not names:
-        raise ValueError("empty method list")
     return names
+
+
+def _nonempty(parse):
+    """parse, refusing a list with no values: an empty sweep axis sweeps nothing."""
+    def parse_list(raw: str) -> tuple:
+        vals = parse(raw)
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+    return parse_list
 
 
 def _path(raw: str) -> str:
@@ -100,10 +108,10 @@ KEYS = {
     "unroll.hidden_channels": _ints,
     "unroll.kernel": int,
     "unroll.residual": _bool,
-    "sweep.sparsities": _floats,
-    "sweep.seeds": _ints,
+    "sweep.sparsities": _nonempty(_floats),
+    "sweep.seeds": _nonempty(_ints),
     "sweep.n_scenes": int,
-    "sweep.methods": _methods,
+    "sweep.methods": _nonempty(_methods),
     "sweep.model": _path,
     "sweep.outage_threshold": float,
 }

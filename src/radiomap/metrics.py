@@ -14,7 +14,7 @@ import numpy as np
 
 from . import admm, config, propagation, unrolled
 from .errors import ConfigError, InvalidArgumentError, RadioMapError
-from .tensors import ObservationMask, as_tensor, project
+from .tensors import ObservationMask, as_tensor, observed
 from .propagation import check_seed, sample_mask
 
 PSNR_CAP_DB = 99.0
@@ -90,7 +90,7 @@ class EvalReport:
 
 def zero_fill(d, mask: ObservationMask) -> np.ndarray:
     """Observed cells kept, everything else zero; the floor any method beats."""
-    return project(as_tensor(d), mask)
+    return observed(d, mask)[1]
 
 
 def standard_methods(model=None, cfg=None) -> dict:

@@ -12,7 +12,7 @@ alpha and rho stay fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,14 +116,11 @@ class UnrolledModel:
         # behaves like truncated classical ADMM; delta starts small but positive
         # (not the classical 0) so log-decode and the ball gradient are defined
         inits = (hp.mu, hp.theta, hp.beta, hp.lam, 1e-3)
-        layer_shapes = block_param_shapes(mapper, k_bands)[len(_SCALAR_NAMES):]
-        half = len(layer_shapes) // 2
-        v_shapes, w_shapes = layer_shapes[:half], layer_shapes[half:]
         blocks = []
         for _ in range(k_blocks):
             scalars = [ad.Node(np.asarray(math.log(v))) for v in inits]
-            blocks.append(BlockParams(scalars, _init_mapper(rng, v_shapes),
-                                      _init_mapper(rng, w_shapes)))
+            blocks.append(BlockParams(scalars, _init_mapper(rng, mapper, k_bands),
+                                      _init_mapper(rng, mapper, k_bands)))
         return cls(k_bands, blocks, mapper, loss_omega, hp.alpha, hp.rho)
 
     def params(self):
@@ -149,15 +146,13 @@ def block_param_shapes(spec: MapperSpec, k_bands: int) -> list:
     return [()] * len(_SCALAR_NAMES) + mapper + mapper
 
 
-def _init_mapper(rng, weight_bias_shapes):
+def _init_mapper(rng, spec: MapperSpec, k_bands: int):
+    dims, k = spec.layer_dims(k_bands), spec.kernel
     layers = []
-    pairs = list(zip(weight_bias_shapes[::2], weight_bias_shapes[1::2]))
-    for i, ((kh, kw, ci, co), bias) in enumerate(pairs):
-        if i == len(pairs) - 1:
-            w = rng.normal(0.0, 1e-3, (kh, kw, ci, co))  # near-zero output at init
-        else:
-            w = rng.normal(0.0, math.sqrt(2.0 / (kh * kw * ci)), (kh, kw, ci, co))
-        layers.append((ad.Node(w), ad.Node(np.zeros(bias))))
+    for i, (ci, co) in enumerate(dims):
+        # He init; the last layer near zero, for a near-zero output at init
+        std = 1e-3 if i == len(dims) - 1 else math.sqrt(2.0 / (k * k * ci))
+        layers.append((ad.Node(rng.normal(0.0, std, (k, k, ci, co))), ad.Node(np.zeros(co))))
     return layers
 
 
@@ -187,8 +182,9 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
 
 
 def _state_nodes(state: admm.AdmmState) -> list:
-    return [state.x, state.e, state.n, state.p, state.q, state.lam, state.gam, state.phi,
-            *state.m, *state.y]
+    """Every node of a block's output state, in AdmmState's field order."""
+    values = [getattr(state, f.name) for f in fields(state)]
+    return [n for v in values for n in (v if isinstance(v, list) else [v])]
 
 
 def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:

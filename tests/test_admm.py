@@ -1,11 +1,11 @@
 """Solver update formulas against scripted oracles, plus end-to-end recovery."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from radiomap.admm import (AdmmHyperParams, AdmmState, block_step, numpy_ops, psi_x,
+from radiomap.admm import (NUMPY, AdmmHyperParams, AdmmState, block_step, psi_x,
                            solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical, update_x)
 from radiomap.errors import InvalidArgumentError
@@ -17,11 +17,12 @@ from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, project, un
 def random_state(rng, dims=(6, 5, 3)):
     t = lambda: rng.normal(size=dims)
     st = AdmmState(x=t(), e=t(), n=t(), p=t(), q=t(), lam=t(), gam=t(), phi=t(),
-                   m=[t() for _ in MODES], y=[t() for _ in MODES])
+                   y=[t() for _ in MODES])
     return st
 
 
-OPS = numpy_ops()
+def random_aux(rng, dims=(6, 5, 3)):
+    return [rng.normal(size=dims) for _ in MODES]
 
 
 def random_inputs(rng, dims=(6, 5, 3)):
@@ -29,6 +30,18 @@ def random_inputs(rng, dims=(6, 5, 3)):
     mask = ObservationMask(rng.random(dims[:2]) < 0.5)
     hp = AdmmHyperParams(mu=0.7, theta=0.3, beta=0.2, rho=0.4, lam=0.15, delta=0.1)
     return d, mask, hp
+
+
+def test_state_holds_only_what_the_next_step_reads(rng):
+    """The unfolding auxiliaries m are recomputed at each step before they are
+    read, so the state one step (or one unrolled block) hands the next is the
+    eight tensors and the three y multipliers: 11 arrays."""
+    assert [f.name for f in fields(AdmmState)] == \
+        ["x", "e", "n", "p", "q", "lam", "gam", "phi", "y"]
+    d, mask, _ = random_inputs(rng)
+    made = []
+    st = AdmmState.initial(d, mask, leaf=lambda a: made.append(a) or a)
+    assert len(made) == 11 and len(st.y) == len(MODES)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +76,7 @@ def test_update_m_zero_state(rng):
     st = random_state(rng)
     st.x = np.zeros((6, 5, 3))
     st.y = [np.zeros((6, 5, 3)) for _ in MODES]
-    for mi in update_m_i(st, hp, OPS):
+    for mi in update_m_i(st, hp, NUMPY):
         assert not mi.any()
 
 
@@ -78,7 +91,7 @@ def test_update_m_rank_one_shrinks_top_singular_value(rng):
     hp = AdmmHyperParams(rho=1.0)
     tau = hp.alpha[0] / hp.rho
     assert sigma > 10 * tau
-    m1 = unfold(update_m_i(st, hp, OPS)[0], 1)
+    m1 = unfold(update_m_i(st, hp, NUMPY)[0], 1)
     s = np.linalg.svd(m1, compute_uv=False)
     assert s[0] == pytest.approx(sigma - tau, rel=1e-10)
 
@@ -86,7 +99,7 @@ def test_update_m_rank_one_shrinks_top_singular_value(rng):
 def test_update_m_local_optimality_probe(rng):
     _, _, hp = random_inputs(rng)
     st = random_state(rng)
-    out = update_m_i(st, hp, OPS)
+    out = update_m_i(st, hp, NUMPY)
     for i, mode in enumerate(MODES):
         target = unfold(st.x, mode) + unfold(st.y[i], mode) / hp.rho
         tau = hp.alpha[i] / hp.rho
@@ -105,28 +118,28 @@ def test_update_x_fixed_point(rng):
     _, _, hp = random_inputs(rng)
     st = random_state(rng)
     t = rng.normal(size=(6, 5, 3))
-    st.m = [t.copy() for _ in MODES]
+    m = [t.copy() for _ in MODES]
     st.y = [np.zeros_like(t) for _ in MODES]
-    assert np.allclose(update_x(st, t, hp), t, atol=1e-12)
+    assert np.allclose(update_x(st, m, t, hp), t, atol=1e-12)
 
 
 def test_update_x_zero_auxiliaries_weighting(rng):
     _, _, hp = random_inputs(rng)
     st = random_state(rng)
-    st.m = [np.zeros((6, 5, 3)) for _ in MODES]
+    m = [np.zeros((6, 5, 3)) for _ in MODES]
     st.y = [np.zeros((6, 5, 3)) for _ in MODES]
     psi = rng.normal(size=(6, 5, 3))
     expect = (hp.mu + hp.theta) * psi / (3 * hp.rho + hp.mu + hp.theta)
-    assert np.allclose(update_x(st, psi, hp), expect, atol=1e-14)
+    assert np.allclose(update_x(st, m, psi, hp), expect, atol=1e-14)
 
 
 def test_update_x_matches_direct_recomputation(rng):
     _, _, hp = random_inputs(rng)
-    st = random_state(rng)
+    st, m = random_state(rng), random_aux(rng)
     psi = rng.normal(size=(6, 5, 3))
-    acc = sum(hp.rho * mi - yi for mi, yi in zip(st.m, st.y))
+    acc = sum(hp.rho * mi - yi for mi, yi in zip(m, st.y))
     oracle = (acc + (hp.mu + hp.theta) * psi) / (3 * hp.rho + hp.mu + hp.theta)
-    assert np.allclose(update_x(st, psi, hp), oracle, atol=1e-14)
+    assert np.allclose(update_x(st, m, psi, hp), oracle, atol=1e-14)
 
 
 def test_update_e_is_thresholded_psi_e(rng):
@@ -136,7 +149,7 @@ def test_update_e_is_thresholded_psi_e(rng):
              + hp.beta * st.q - st.phi) / (hp.mu + hp.beta)
     tau = hp.lam / (hp.mu + hp.beta)
     oracle = np.sign(psi_e) * np.maximum(np.abs(psi_e) - tau, 0.0)
-    assert np.allclose(update_e(st, project(d, mask), hp, OPS), oracle, atol=1e-14)
+    assert np.allclose(update_e(st, project(d, mask), hp, NUMPY), oracle, atol=1e-14)
 
 
 def test_update_e_zero_lambda_passthrough(rng):
@@ -145,7 +158,7 @@ def test_update_e_zero_lambda_passthrough(rng):
     st = random_state(rng)
     psi_e = (st.lam + hp.mu * (project(d, mask) - st.x - st.n)
              + hp.beta * st.q - st.phi) / (hp.mu + hp.beta)
-    assert np.allclose(update_e(st, project(d, mask), hp, OPS), psi_e, atol=1e-12)
+    assert np.allclose(update_e(st, project(d, mask), hp, NUMPY), psi_e, atol=1e-12)
 
 
 def test_update_n_inside_ball_untouched(rng):
@@ -154,14 +167,14 @@ def test_update_n_inside_ball_untouched(rng):
     psi_n = project(d, mask) - st.x - st.e + st.lam / 0.7
     big = fro_norm(project(psi_n, mask)) * 2.0
     hp = AdmmHyperParams(mu=0.7, theta=0.3, beta=0.2, rho=0.4, delta=big)
-    assert np.allclose(update_n(st, project(d, mask), mask, hp, OPS), psi_n, atol=1e-12)
+    assert np.allclose(update_n(st, project(d, mask), mask, hp, NUMPY), psi_n, atol=1e-12)
 
 
 def test_update_n_zero_delta_kills_observed_cells(rng):
     d, mask, hp = random_inputs(rng)
     hp = AdmmHyperParams(mu=hp.mu, theta=hp.theta, beta=hp.beta, rho=hp.rho, delta=0.0)
     st = random_state(rng)
-    n = update_n(st, project(d, mask), mask, hp, OPS)
+    n = update_n(st, project(d, mask), mask, hp, NUMPY)
     assert fro_norm(project(n, mask)) == 0.0
     psi_n = project(d, mask) - st.x - st.e + st.lam / hp.mu
     off = project(psi_n, mask, complement=True)
@@ -174,7 +187,7 @@ def test_update_n_half_ball_scales_by_half(rng):
     psi_n = project(d, mask) - st.x - st.e + st.lam / 0.7
     r = fro_norm(project(psi_n, mask))
     hp = AdmmHyperParams(mu=0.7, delta=r / 2.0)
-    n = update_n(st, project(d, mask), mask, hp, OPS)
+    n = update_n(st, project(d, mask), mask, hp, NUMPY)
     assert np.allclose(project(n, mask), 0.5 * project(psi_n, mask), atol=1e-12)
 
 
@@ -195,7 +208,7 @@ def test_update_pq_identity_and_none(rng):
     for mode, step in (("identity", update_pq_classical), ("none", lambda st, h: (st.p, st.q))):
         ref = AdmmState.initial(d, mask)
         for _ in range(2):
-            ref = block_step(ref, pd, mask, hp, step, OPS)
+            ref = block_step(ref, pd, mask, hp, step, NUMPY)
         res = solve_admm(d, mask, hp, prox_mode=mode)
         assert np.array_equal(res.x, ref.x) and np.array_equal(res.e, ref.e)
         ests[mode] = res.d_hat
@@ -215,20 +228,20 @@ def test_identity_prox_zeroes_gamma_after_one_dual_step(rng):
     d, mask, hp = random_inputs(rng)
     st = random_state(rng)
     st.p, st.q = update_pq_classical(st, hp)
-    new = update_multipliers(st, project(d, mask), hp)
+    new = update_multipliers(st, random_aux(rng), project(d, mask), hp)
     assert np.allclose(new.gam, 0.0, atol=1e-12)
     assert np.allclose(new.phi, 0.0, atol=1e-12)
 
 
 def test_update_multipliers_matches_direct_recomputation(rng):
     d, mask, hp = random_inputs(rng)
-    st = random_state(rng)
-    new = update_multipliers(st, project(d, mask), hp)
+    st, m = random_state(rng), random_aux(rng)
+    new = update_multipliers(st, m, project(d, mask), hp)
     pd = project(d, mask)
     assert np.allclose(new.lam, st.lam + hp.mu * (pd - st.x - st.e - st.n), atol=1e-14)
     assert np.allclose(new.gam, st.gam + hp.theta * (st.x - st.p), atol=1e-14)
     assert np.allclose(new.phi, st.phi + hp.beta * (st.e - st.q), atol=1e-14)
-    for yi, yo, mi in zip(st.y, new.y, st.m):
+    for yi, yo, mi in zip(st.y, new.y, m):
         assert np.allclose(yo, yi + hp.rho * (st.x - mi), atol=1e-14)
 
 
@@ -239,8 +252,8 @@ def test_update_multipliers_fixed_when_constraints_met(rng):
     st.n = project(d, mask) - st.x
     st.p = st.x.copy()
     st.q = st.e.copy()
-    st.m = [st.x.copy() for _ in MODES]
-    new = update_multipliers(st, project(d, mask), hp)
+    m = [st.x.copy() for _ in MODES]
+    new = update_multipliers(st, m, project(d, mask), hp)
     assert np.allclose(new.lam, st.lam, atol=1e-12)
     assert np.allclose(new.gam, st.gam, atol=1e-12)
     for yi, yo in zip(st.y, new.y):

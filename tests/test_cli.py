@@ -9,6 +9,7 @@ from radiomap import io as rio
 from radiomap.cli import main
 from radiomap.metrics import zero_fill
 from radiomap.propagation import sample_mask
+from radiomap.tensors import ObservationMask
 from radiomap.unrolled import UnrolledModel
 
 
@@ -86,6 +87,18 @@ def test_solve_zero_writes_zero_fill(scene_dir, tmp_path):
                "--mask", mask_path, "--out", out) == 0
     expected = zero_fill(rio.read_tensor(truth_path), rio.read_mask(mask_path))
     assert np.array_equal(rio.read_tensor(out), expected)
+
+
+def test_solve_zero_with_an_empty_mask_exits_2(scene_dir, tmp_path, capsys):
+    """zero_fill checks its input as every other estimator does."""
+    mask_path = tmp_path / "empty.rmm"
+    rio.write_mask(mask_path, ObservationMask(np.zeros((24, 24), dtype=bool)))
+    for method in ("zero", "ldpl"):
+        out = tmp_path / f"{method}.rmt"
+        assert run("solve", "--method", method, "--tensor", scene_dir / "ground_truth.rmt",
+                   "--mask", mask_path, "--out", out) == 2, method
+        assert "mask selects no observed cells" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_solve_unroll_without_model_prints_notice(scene_dir, tmp_path, capsys):
@@ -187,6 +200,32 @@ def test_sweep_bad_solver_config_exits_5(tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert run("sweep", "--config", cfg, "--out", out) == 5, line
         assert capsys.readouterr().err.startswith("config-error:")
+        assert not out.exists()
+
+
+def test_sweep_empty_axis_exits_5(tmp_path, capsys):
+    for line in ("sweep.sparsities=", "sweep.seeds="):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CFG.replace(line, "#") + line + "\n")
+        out = tmp_path / "report.csv"
+        assert run("sweep", "--config", cfg, "--out", out) == 5, line
+        assert capsys.readouterr().err.startswith("config-error:")
+        assert not out.exists()
+
+
+def test_sweep_model_with_other_band_count_exits_2(tmp_path, capsys):
+    """A 3-band model on 1-band scenes would fail every unroll row; the sweep
+    refuses it before any method runs."""
+    ckpt = tmp_path / "model.rmu"
+    rio.write_checkpoint(ckpt, UnrolledModel.create(h=16, w=16, k_bands=3, k_blocks=1))
+    out = tmp_path / "report.csv"
+    for methods in ("sweep.methods=zero,unroll\n", ""):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"scene.h=16\nscene.w=16\nscene.k_bands=1\nscene.n_obstructions=3\n"
+                       f"sweep.n_scenes=1\nsweep.sparsities=20\nsweep.seeds=0\n"
+                       f"sweep.model={ckpt}\n{methods}")
+        assert run("sweep", "--config", cfg, "--out", out) == 2, methods
+        assert "3 bands" in capsys.readouterr().err
         assert not out.exists()
 
 

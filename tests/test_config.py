@@ -73,6 +73,16 @@ def test_methods_list_validated():
         parse_config("sweep.methods=zero,svd\n")
 
 
+def test_empty_sweep_axis_is_a_config_error():
+    """An empty sparsity or seed list would sweep nothing and still exit 0;
+    an empty hidden_channels list is a mapper with no hidden layer."""
+    for key in ("sweep.sparsities", "sweep.seeds", "sweep.methods"):
+        for raw in ("", " , "):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(f"{key}={raw}\n")
+    assert parse_config("unroll.hidden_channels=\n").get("unroll.hidden_channels") == ()
+
+
 def test_bool_values():
     assert parse_config("unroll.residual=off\n").get("unroll.residual") is False
     assert parse_config("unroll.residual=YES\n").get("unroll.residual") is True

@@ -323,12 +323,12 @@ def test_block_release_keeps_only_the_output_state(monkeypatch, instance):
     monkeypatch.setattr(ad, "release", spy)
     model = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=3, seed=0)
     d_hat = forward(model, truth, mask)
-    assert len(calls) == 3 and all(keep == 14 and n > keep for n, keep in calls)
+    assert len(calls) == 3 and all(keep == 11 and n > keep for n, keep in calls)
     ad.backward(loss(d_hat, truth, truth, model.loss_omega))
     assert all(p.grad is not None for p in model.live_params())
     calls.clear()
     infer(model, truth, mask)
-    assert calls == [(0, 14)] * 3
+    assert calls == [(0, 11)] * 3
 
 
 def test_recorder_is_cleared_when_a_block_fails(instance):
