@@ -12,9 +12,9 @@ block_step is the one copy of that iteration. solve_admm runs it on numpy
 arrays; each block of the unrolled network (radiomap.unrolled) runs the same
 function on autodiff Nodes, with learned scalars and learned P/Q mappings.
 
-solve_halrtc keeps only the unfolding machinery (update_m_i) and re-imposes
-the data exactly each sweep, giving the standard baseline for pure low-rank
-completion.
+solve_halrtc, the pure low-rank completion baseline, keeps only the unfolding
+step (update_m_i) and pins the observed cells to the data each sweep. Both
+classical solvers run in one stop loop (_iterate) and return an AdmmResult.
 """
 
 import sys
@@ -30,7 +30,7 @@ from .tensors import MODES, ObservationMask, fold, fro_norm, observed, project, 
 
 @dataclass(frozen=True)
 class AdmmHyperParams:
-    """Solver weights and penalties.
+    """Solver weights and penalties; solve_halrtc reads alpha, rho, max_iters, tol.
 
     alpha   weights of the three unfolding nuclear norms, must sum to 1
     lam     sparsity weight; None picks 1/sqrt(max(h, w)) at solve time
@@ -39,6 +39,8 @@ class AdmmHyperParams:
     beta    penalty tying e to its split variable q
     rho     penalty tying x to the unfolding auxiliaries (fixed, no growth)
     delta   noise ball radius on observed cells
+    max_iters, tol  iteration cap, and the bound on the estimate's relative change
+    penalty_growth  factor on mu, theta and beta after each iteration, up to penalty_cap
     """
 
     alpha: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
@@ -212,6 +214,24 @@ class AdmmResult:
         return self.x + self.e
 
 
+def _iterate(step, estimate, hp) -> tuple[list, bool]:
+    """Stop loop of both classical solvers. step(it) returns (residual, ok): the
+    residual, which must be finite, is recorded; ok must hold with the change test."""
+    history = []
+    prev = estimate()
+    for it in range(hp.max_iters):
+        residual, ok = step(it)
+        history.append(residual)
+        if not np.isfinite(residual):
+            raise NumericalFailureError(f"residual became non-finite at iteration {it}")
+        cur = estimate()
+        rel = fro_norm(cur - prev) / max(fro_norm(cur), 1e-12)
+        prev = cur
+        if rel < hp.tol and ok:
+            return history, True
+    return history, False
+
+
 def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
                check_contracts: bool = False, prox_mode: str = "identity") -> AdmmResult:
     """Run the full splitting scheme until the estimate stops moving.
@@ -232,58 +252,47 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None,
     # against the whole max_iters and fail an uncapped solve part-way
     hp = SimpleNamespace(**vars(hp))
     state = AdmmState.initial(d, mask)
-    history = []
-    prev = state.x + state.e
-    converged = False
-    for it in range(hp.max_iters):
+
+    def step(it):
+        nonlocal state
         state = block_step(state, pd, mask, hp, pq_step, NUMPY)
         if check_contracts:
             ball = fro_norm(project(state.n, mask))
             if not ball <= hp.delta + 1e-12:
-                raise AssertionError(
-                    f"noise ball violated at iteration {it}: {ball!r} > {hp.delta!r} + 1e-12"
-                )
-        history.append(primal_residual(state, pd))
-        if not np.isfinite(history[-1]):
-            raise NumericalFailureError(
-                f"primal residual became non-finite at iteration {it} "
-                f"(mu={hp.mu:.3e}, theta={hp.theta:.3e}, beta={hp.beta:.3e})"
-            )
-        cur = state.x + state.e
-        rel = fro_norm(cur - prev) / max(fro_norm(cur), 1e-12)
-        prev = cur
+                raise AssertionError(f"noise ball violated at iteration {it}: "
+                                     f"{ball!r} > {hp.delta!r} + 1e-12")
         hp.mu = min(hp.mu * hp.penalty_growth, hp.penalty_cap)
         hp.theta = min(hp.theta * hp.penalty_growth, hp.penalty_cap)
         hp.beta = min(hp.beta * hp.penalty_growth, hp.penalty_cap)
-        if rel < hp.tol:
-            converged = True
-            break
+        return primal_residual(state, pd), True
+
+    history, converged = _iterate(step, lambda: state.x + state.e, hp)
     return AdmmResult(x=state.x, e=state.e, n=state.n, history=history, converged=converged)
 
 
-def solve_halrtc(d, mask: ObservationMask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: float = 0.1,
-                 max_iters: int = 200, tol: float = 1e-5) -> np.ndarray:
+HALRTC_DEFAULTS = AdmmHyperParams(rho=0.1)
+
+
+def solve_halrtc(d, mask: ObservationMask, hp: AdmmHyperParams = HALRTC_DEFAULTS) -> AdmmResult:
     """Pure low-rank completion baseline; observed cells are pinned to the data.
 
-    Stops when both the relative change of x and the relative constraint gap
-    max_i ||x - m_i||_F / ||x||_F fall below tol (the primal and dual tests of
-    Boyd et al. 2011, sec. 3.3). The change alone is not enough: on sparse
-    inputs the first M-step can zero nearly everything, leaving x where it
-    started while the gap is still large.
+    Stops when the relative change of x and the gap max_i ||x - m_i||_F / ||x||_F
+    (its history) both fall below tol: the primal and dual tests of Boyd et al.
+    2011, sec. 3.3. The change alone is not enough: on sparse inputs the first
+    M-step can zero nearly everything, leaving x unchanged while the gap is large.
     """
     d, pd = observed(d, mask)
-    hp = AdmmHyperParams(alpha=alpha, rho=rho, max_iters=max_iters, tol=tol)
     # the M-step reads only x and y
     state = SimpleNamespace(x=pd.copy(), y=[np.zeros_like(d) for _ in MODES])
-    on = mask.sampled[:, :, None]
-    for _ in range(max_iters):
+
+    def step(it):
         ms = update_m_i(state, hp, NUMPY)
-        x_new = sum(mi - yi / rho for mi, yi in zip(ms, state.y)) / 3.0
-        x_new = np.where(on, pd, x_new)
-        state.y = [yi + rho * (x_new - mi) for yi, mi in zip(state.y, ms)]
-        scale = max(fro_norm(x_new), 1e-12)
-        rel = fro_norm(x_new - state.x) / scale
-        state.x = x_new
-        if rel < tol and max(fro_norm(x_new - mi) for mi in ms) / scale < tol:
-            break
-    return state.x
+        x = sum(mi - yi / hp.rho for mi, yi in zip(ms, state.y)) / 3.0
+        state.x = np.where(mask.sampled[:, :, None], pd, x)
+        state.y = [yi + hp.rho * (state.x - mi) for yi, mi in zip(state.y, ms)]
+        gap = max(fro_norm(state.x - mi) for mi in ms) / max(fro_norm(state.x), 1e-12)
+        return gap, gap < hp.tol
+
+    history, converged = _iterate(step, lambda: state.x, hp)
+    return AdmmResult(x=state.x, e=np.zeros_like(d), n=np.zeros_like(d),
+                      history=history, converged=converged)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .admm import AdmmHyperParams
+from .admm import HALRTC_DEFAULTS, AdmmHyperParams
 from .errors import ConfigError, InvalidArgumentError, bad_path, reraise
 from .unrolled import MapperSpec, TrainConfig
 
@@ -176,11 +176,8 @@ def admm_params(cfg: Config) -> AdmmHyperParams:
     return _rebuild("admm", lambda: replace(AdmmHyperParams(), **over))
 
 
-def halrtc_kwargs(cfg: Config) -> dict:
-    """Keyword arguments for solve_halrtc, checked as AdmmHyperParams checks them."""
-    kw = cfg.section("halrtc")
-    _rebuild("halrtc", lambda: AdmmHyperParams(**kw))
-    return kw
+def halrtc_params(cfg: Config) -> AdmmHyperParams:
+    return _rebuild("halrtc", lambda: replace(HALRTC_DEFAULTS, **cfg.section("halrtc")))
 
 
 def train_config(cfg: Config) -> TrainConfig:

@@ -103,7 +103,7 @@ def standard_methods(model=None, cfg=None) -> dict:
     """
     cfg = cfg if cfg is not None else config.Config({})
     hp = config.admm_params(cfg)
-    halrtc = config.halrtc_kwargs(cfg)
+    halrtc = config.halrtc_params(cfg)
     shape = cfg.get("rbf.shape")
     d0 = cfg.get("ldpl.d0", 1.0)
     # the rule rbf_interpolate and ldpl_interpolate apply, checked before any solve
@@ -117,7 +117,7 @@ def standard_methods(model=None, cfg=None) -> dict:
         "zero": zero_fill,
         "ldpl": lambda d, m: propagation.ldpl_interpolate(d, m, d0=d0).values,
         "rbf": lambda d, m: propagation.rbf_interpolate(d, m, shape_param=shape).values,
-        "halrtc": lambda d, m: admm.solve_halrtc(d, m, **halrtc),
+        "halrtc": lambda d, m: admm.solve_halrtc(d, m, halrtc).d_hat,
         "admm": lambda d, m: admm.solve_admm(d, m, hp).d_hat,
     }
     if model is not None:

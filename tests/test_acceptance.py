@@ -146,7 +146,7 @@ def test_03_robust_recovery_beats_plain_completion():
 
     res = solve_admm(truth, mask)
     rel_robust = rel_err(res.d_hat, truth)
-    rel_plain = rel_err(solve_halrtc(truth, mask), truth)
+    rel_plain = rel_err(solve_halrtc(truth, mask).d_hat, truth)
     elapsed = perf_counter() - t0
     print(f"robust solver {rel_robust:.4f}, plain completion {rel_plain:.4f}, "
           f"{elapsed:.1f} s")
@@ -311,7 +311,7 @@ def test_07_trained_model_beats_baselines_held_out(trained_model):
         truth = scene_truth(7000 + j, 1 + j % 2)
         mask = sample_mask(64, 64, 10.0, seed=8000 + j)
         for name, est in (("unroll", infer(model, truth, mask)),
-                          ("halrtc", solve_halrtc(truth, mask)),
+                          ("halrtc", solve_halrtc(truth, mask).d_hat),
                           ("rbf", rbf_interpolate(truth, mask).values)):
             ps[name].append(psnr(est, truth))
             ou[name].append(outage_error(est, truth))

@@ -1,17 +1,19 @@
 """Solver update formulas against scripted oracles, plus end-to-end recovery."""
 
+import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from radiomap.admm import (NUMPY, AdmmHyperParams, AdmmState, block_step, psi_x,
-                           solve_admm, solve_halrtc, update_e, update_m_i,
+from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState, block_step,
+                           psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical, update_x)
-from radiomap.errors import InvalidArgumentError
+from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import psnr
 from radiomap.propagation import SceneSpec, generate_scene, sample_mask
-from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, project, unfold
+from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, observed, project, unfold
 
 
 def random_state(rng, dims=(6, 5, 3)):
@@ -373,24 +375,77 @@ def test_solver_stops_on_the_change_test_at_one_percent():
 
 def test_halrtc_clean_instance_and_robustness_gap():
     background, truth, mask = rank221_instance()
-    x_clean = solve_halrtc(background, mask)
+    x_clean = solve_halrtc(background, mask).d_hat
     assert fro_norm(x_clean - background) / fro_norm(background) < 0.02
-    rel_h = fro_norm(solve_halrtc(truth, mask) - truth) / fro_norm(truth)
+    rel_h = fro_norm(solve_halrtc(truth, mask).d_hat - truth) / fro_norm(truth)
     rel_a = fro_norm(solve_admm(truth, mask).d_hat - truth) / fro_norm(truth)
     assert rel_h > rel_a
+
+
+def sparse_halrtc_instance():
+    """16x16x3 scene at 5 % sampling."""
+    spec = SceneSpec.random(16, 16, 3, n_transmitters=2, n_obstructions=2,
+                            obstruction_depth=15.0, seed=0)
+    return generate_scene(spec).ground_truth, sample_mask(16, 16, 5.0, seed=1)
 
 
 def test_halrtc_runs_past_first_iteration_on_sparse_input():
     # at 5 % sampling the first M-step zeroes nearly everything, so x does not
     # move and the relative change alone would stop the solve there
-    spec = SceneSpec.random(16, 16, 3, n_transmitters=2, n_obstructions=2,
-                            obstruction_depth=15.0, seed=0)
-    truth = generate_scene(spec).ground_truth
-    mask = sample_mask(16, 16, 5.0, seed=1)
-    one = solve_halrtc(truth, mask, max_iters=1)
+    truth, mask = sparse_halrtc_instance()
+    one = solve_halrtc(truth, mask, replace(HALRTC_DEFAULTS, max_iters=1))
     full = solve_halrtc(truth, mask)
-    assert not np.array_equal(full, one)
-    assert psnr(full, truth) > psnr(one, truth)
+    assert len(full.history) > 1
+    assert not np.array_equal(full.d_hat, one.d_hat)
+    assert psnr(full.d_hat, truth) > psnr(one.d_hat, truth)
+
+
+def reference_halrtc(d, mask, alpha=(1 / 3, 1 / 3, 1 / 3), rho: float = 0.1,
+                     max_iters: int = 200, tol: float = 1e-5):
+    """HaLRTC's loop as it was written before it ran in the shared stop loop.
+    Returns x, the number of iterations run and whether the loop stopped early."""
+    d, pd = observed(d, mask)
+    hp = AdmmHyperParams(alpha=alpha, rho=rho, max_iters=max_iters, tol=tol)
+    # the M-step reads only x and y
+    state = SimpleNamespace(x=pd.copy(), y=[np.zeros_like(d) for _ in MODES])
+    on = mask.sampled[:, :, None]
+    for it in range(max_iters):
+        ms = update_m_i(state, hp, NUMPY)
+        x_new = sum(mi - yi / rho for mi, yi in zip(ms, state.y)) / 3.0
+        x_new = np.where(on, pd, x_new)
+        state.y = [yi + rho * (x_new - mi) for yi, mi in zip(state.y, ms)]
+        scale = max(fro_norm(x_new), 1e-12)
+        rel = fro_norm(x_new - state.x) / scale
+        state.x = x_new
+        if rel < tol and max(fro_norm(x_new - mi) for mi in ms) / scale < tol:
+            return state.x, it + 1, True
+    return state.x, max_iters, False
+
+
+@pytest.mark.parametrize("case, tol, stops", [("sparse", 1e-5, False), ("sparse", 1e-2, True),
+                                              ("full", 1e-5, True)])
+def test_halrtc_matches_its_reference_loop_bit_for_bit(case, tol, stops):
+    if case == "sparse":
+        d, mask = sparse_halrtc_instance()
+    else:
+        d, mask = np.random.default_rng(12).random((12, 12, 2)), ObservationMask.full(12, 12)
+    x, iterations, stopped = reference_halrtc(d, mask, tol=tol)
+    res = solve_halrtc(d, mask, replace(HALRTC_DEFAULTS, tol=tol))
+    assert np.array_equal(res.x, x)
+    assert len(res.history) == iterations and res.converged == stopped == stops
+    assert not res.e.any() and not res.n.any()
+
+
+def test_both_solvers_stop_on_overflowing_norms():
+    """A finite map scaled by 1e300 overflows every Frobenius norm; each
+    solver raises at its first non-finite residual instead of running on."""
+    d = np.random.default_rng(5).random((16, 16, 3)) * 1e300
+    mask = sample_mask(16, 16, 30.0, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        for solve in (solve_admm, solve_halrtc):
+            with pytest.raises(NumericalFailureError, match="at iteration 0"):
+                solve(d, mask)
 
 
 def test_solver_fully_observed_reproduces_data(rng):
@@ -406,14 +461,15 @@ def test_solver_fully_observed_reproduces_data(rng):
 def test_halrtc_pins_observed_cells(rng):
     d = rng.random((20, 20, 2))
     mask = ObservationMask(rng.random((20, 20)) < 0.3)
-    x = solve_halrtc(d, mask, max_iters=30)
+    x = solve_halrtc(d, mask, replace(HALRTC_DEFAULTS, max_iters=30)).d_hat
     on = mask.sampled[:, :, None]
     assert np.array_equal(np.where(on, x, 0.0), np.where(on, d, 0.0))
 
 
 def test_halrtc_fully_observed_returns_data(rng):
     d = rng.random((12, 12, 2))
-    x = solve_halrtc(d, ObservationMask.full(12, 12), max_iters=40)
+    res = solve_halrtc(d, ObservationMask.full(12, 12), replace(HALRTC_DEFAULTS, max_iters=40))
+    x = res.d_hat
     assert fro_norm(x - d) / fro_norm(d) < 1e-6
 
 
@@ -454,11 +510,11 @@ def test_solver_input_validation(rng):
         solve_admm(d, ObservationMask(np.zeros((8, 8), dtype=bool)))
     with pytest.raises(InvalidArgumentError):
         solve_halrtc(d, ObservationMask(np.zeros((8, 8), dtype=bool)))
-    with pytest.raises(InvalidArgumentError):
-        solve_halrtc(d, ObservationMask.full(8, 8), alpha=(0.2, 0.2, 0.2))
-    for bad_kw in ({"rho": 0.0}, {"max_iters": 0}, {"tol": -1.0}, {"tol": 0.0}):
+    # a bad setting fails where the hyperparameters are built
+    for bad_kw in ({"alpha": (0.2, 0.2, 0.2)}, {"rho": 0.0}, {"max_iters": 0}, {"tol": -1.0},
+                   {"tol": 0.0}):
         with pytest.raises(InvalidArgumentError):
-            solve_halrtc(d, ObservationMask.full(8, 8), **bad_kw)
+            replace(HALRTC_DEFAULTS, **bad_kw)
     bad = d.copy()
     bad[0, 0, 0] = np.nan
     with pytest.raises(InvalidArgumentError):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from radiomap.admm import AdmmHyperParams
-from radiomap.config import (admm_params, halrtc_kwargs, load_config,
+from radiomap.admm import HALRTC_DEFAULTS, AdmmHyperParams
+from radiomap.config import (admm_params, halrtc_params, load_config,
                              mapper_spec, parse_config, scene_kwargs,
                              train_config, unroll_kwargs)
 from radiomap.errors import ConfigError, InvalidArgumentError
@@ -14,7 +14,7 @@ def test_empty_config_means_defaults():
     cfg = parse_config("")
     assert cfg.values == {}
     assert admm_params(cfg) == AdmmHyperParams()
-    assert halrtc_kwargs(cfg) == {}
+    assert halrtc_params(cfg) == HALRTC_DEFAULTS
     assert train_config(cfg).epochs == 10
     assert mapper_spec(cfg) == MapperSpec()
 

@@ -50,7 +50,7 @@ generate_scene(SceneSpec.random(16, 16, 3, n_transmitters=2, n_obstructions=4, s
 d = io.read_tensor("t.rmt")
 mask = sample_mask(16, 16, 30.0, seed=1)
 solve_admm(d, mask, AdmmHyperParams(max_iters=20))
-solve_halrtc(d, mask, max_iters=20)
+solve_halrtc(d, mask, AdmmHyperParams(rho=0.1, max_iters=20))
 ldpl_interpolate(d, mask)
 zero_fill(d, mask)
 assert cli.main(["eval", "--est", "t.rmt", "--truth", "t.rmt"]) == 0
