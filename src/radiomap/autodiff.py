@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._scipy import linalg_extension
 from .errors import InvalidArgumentError, NumericalFailureError
 from .shrinkage import _check_tau, _shrink, _svd
 from .shrinkage import scale_to_ball as _scale_to_ball
@@ -285,11 +286,13 @@ def exp(s) -> Node:
 # neural ops
 
 def _load_dgemm(*args, **kwargs):
-    """The first binding of _dgemm: imports scipy's dgemm on the first call,
-    so that `import radiomap` does not load scipy.linalg, binds _dgemm to it
-    (unless _dgemm was rebound meanwhile) and forwards the call."""
+    """The first binding of _dgemm: on the first call takes dgemm from
+    scipy's BLAS wrapper module scipy.linalg._fblas (the function object
+    scipy.linalg.blas re-exports), loaded without the scipy.linalg package,
+    binds _dgemm to it (unless _dgemm was rebound meanwhile) and forwards
+    the call. So `import radiomap` loads no scipy."""
     global _dgemm
-    from scipy.linalg.blas import dgemm
+    dgemm = linalg_extension("_fblas").dgemm
     if _dgemm is _load_dgemm:
         _dgemm = dgemm
     return dgemm(*args, **kwargs)

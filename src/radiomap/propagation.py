@@ -11,15 +11,17 @@ full packed (RFP) storage, n(n+1)/2 words, and factors and solves it there
 (dpftrf, dpftrs), with LAPACK's 1-norm condition estimator ported to that
 storage; no full n x n array is made.
 
-The shadowing filter is numpy only. scipy serves the RBF solve alone and
-is imported inside rbf_interpolate, so importing this module does not load
-it, and neither does generating a scene.
+The shadowing filter is numpy only. scipy serves the RBF solve alone:
+rbf_interpolate loads scipy's LAPACK wrapper module scipy.linalg._flapack on
+its first call, and not the scipy.linalg package, so importing this module
+loads no scipy, and neither does generating a scene.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import linalg_extension
 from .errors import InvalidArgumentError, NumericalFailureError
 from .tensors import ObservationMask, observed
 
@@ -422,7 +424,8 @@ def rbf_interpolate(d: np.ndarray, mask: ObservationMask,
     to a fixed 3-cell width; tying it to observation density makes
     reconstruction quality non-monotone in sampling rate.
     """
-    from scipy.linalg.lapack import dpftrf, dpftrs
+    flapack = linalg_extension("_flapack")
+    dpftrf, dpftrs = flapack.dpftrf, flapack.dpftrs
     _, pd = observed(d, mask)
     n_obs = mask.count
     if 4 * n_obs * (n_obs + 1) > RBF_MAX_KERNEL_BYTES:

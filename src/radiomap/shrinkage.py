@@ -92,6 +92,7 @@ def _full_svd(m: np.ndarray):
         pass
     # imported here, and outside reraise, so that a missing scipy is an
     # ImportError and not a failed SVD
+    # the public svd, not _scipy's bare wrappers: no workload reaches this path
     from scipy.linalg import svd
     with reraise(NumericalFailureError, f"SVD failed on a {m.shape[0]}x{m.shape[1]} matrix "
                  f"(fro norm {np.linalg.norm(m):.3e}) with both drivers", Exception):

@@ -88,7 +88,9 @@ out = np.concatenate([a.ravel() for a in (y.value, x.grad, w.grad, b.grad)])
 def test_cold_first_call_matches_warm_call_bitwise(tmp_path, call):
     """A call's first run in a fresh process, where it is the first to import
     scipy (or, for generate_scene, imports none), returns the same bits as the
-    same call in the test process, where other tests may have loaded scipy."""
+    same call in the test process, where other tests may have loaded scipy.
+    The RBF solve loads only scipy's LAPACK wrapper module and conv2d only
+    its BLAS one: neither loads the scipy.linalg package."""
     code = f"""
 import sys
 {PRELUDE}
@@ -101,7 +103,76 @@ np.save("cold.npy", out)
     if call == "generate_scene":
         assert loaded == []
     else:
-        assert "scipy.linalg" in loaded and "scipy.ndimage" not in loaded
+        wrapper = {"rbf_interpolate": "_flapack", "conv2d": "_fblas"}[call]
+        assert f"scipy.linalg.{wrapper}" in loaded
+        assert not {"scipy.linalg", "scipy.ndimage"} & set(loaded)
     warm = {}
     exec(PRELUDE + FIRST_CALLS[call], warm)
+    assert np.array_equal(np.load(tmp_path / "cold.npy"), warm["out"])
+
+
+# the outputs of the rbf_interpolate and conv2d first calls, concatenated
+BOTH_CALLS = PRELUDE + FIRST_CALLS["rbf_interpolate"] + "rbf = out\n" + \
+    FIRST_CALLS["conv2d"] + "out = np.concatenate([rbf.ravel(), out])\n"
+
+# each runs BOTH_CALLS and checks how the wrapper modules were loaded
+LOAD_ORDERS = {
+    # the wrappers first: a later `import scipy.linalg` reuses them
+    "wrappers_first": """
+flapack, fblas = linalg_extension("_flapack"), linalg_extension("_fblas")
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+from scipy.linalg import blas, lapack
+assert lapack._flapack is flapack and blas._fblas is fblas
+assert lapack.dpftrf is flapack.dpftrf and lapack.dpftrs is flapack.dpftrs
+assert blas.dgemm is fblas.dgemm
+a = np.random.default_rng(6).random((7, 5))
+u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+assert np.allclose((u * s) @ vt, a, rtol=0, atol=1e-13)
+""",
+    # scipy.linalg first: the helper hands back the package's modules
+    "package_first": """
+import scipy.linalg
+assert linalg_extension("_flapack") is sys.modules["scipy.linalg._flapack"]
+assert linalg_extension("_fblas") is sys.modules["scipy.linalg._fblas"]
+assert linalg_extension("_flapack").dpftrf is scipy.linalg.lapack.dpftrf
+assert linalg_extension("_fblas").dgemm is scipy.linalg.blas.dgemm
+""",
+    # a scipy.linalg directory without the extension files: the helper
+    # imports them through the package
+    "no_extension_file": """
+import radiomap._scipy
+radiomap._scipy._linalg_dirs = lambda: [empty]
+assert "scipy.linalg" not in sys.modules
+flapack = linalg_extension("_flapack")
+assert "scipy.linalg" in sys.modules
+assert flapack is sys.modules["scipy.linalg._flapack"]
+assert flapack.dpftrf is sys.modules["scipy.linalg.lapack"].dpftrf
+""",
+}
+
+
+@pytest.mark.parametrize("order", sorted(LOAD_ORDERS))
+def test_wrapper_modules_and_scipy_linalg_share_one_copy(tmp_path, order):
+    """In a fresh process, scipy's LAPACK and BLAS wrapper modules and the
+    scipy.linalg package end up holding the same function objects whichever
+    is imported first, and without the extension files the helper falls
+    back to the package import; either way the RBF solve and conv2d return
+    the same bits as in the test process."""
+    empty = tmp_path / "linalg"
+    empty.mkdir()
+    code = f"""
+import sys
+from radiomap._scipy import linalg_extension
+{PRELUDE}
+empty = {str(empty)!r}
+{LOAD_ORDERS[order]}
+{BOTH_CALLS}
+np.save("cold.npy", out)
+{SCIPY_MODULES}
+"""
+    loaded = run_fresh(code, tmp_path)
+    assert {"scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._fblas"} <= set(loaded)
+    warm = {}
+    exec(BOTH_CALLS, warm)
     assert np.array_equal(np.load(tmp_path / "cold.npy"), warm["out"])

@@ -12,6 +12,7 @@ from scipy.linalg import blas, lapack
 from scipy.ndimage import gaussian_filter
 
 from radiomap import propagation
+from radiomap._scipy import linalg_extension
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.propagation import (RBF_MAX_KERNEL_BYTES, LdplParams, SceneSpec,
                                   _gaussian_filter, _lacn2, _rbf_kernel_rfp,
@@ -395,14 +396,21 @@ def test_rbf_kernel_is_built_and_factored_in_one_buffer(rng, shape_param, ridged
 
 def test_rbf_raises_when_the_ridged_kernel_does_not_factor(rng, monkeypatch):
     """A ridged kernel that still fails to factor is a numerical failure,
-    not a factor used half-made."""
+    not a factor used half-made. The failing dpftrf replaces the one
+    rbf_interpolate calls, scipy's LAPACK wrapper module's."""
+    calls = []
+
     def failing(n, a, **kwargs):
+        calls.append(n)
         return a, 1
 
-    monkeypatch.setattr(lapack, "dpftrf", failing)
+    monkeypatch.setattr(linalg_extension("_flapack"), "dpftrf", failing)
     d = rng.random((8, 8, 1))
+    mask = ObservationMask(rng.random((8, 8)) < 0.4)
     with pytest.raises(NumericalFailureError, match="ridge"):
-        rbf_interpolate(d, ObservationMask(rng.random((8, 8)) < 0.4))
+        rbf_interpolate(d, mask)
+    # the plain factorization, then the ridged one
+    assert calls == [mask.count, mask.count]
 
 
 # ---------------------------------------------------------------------------
