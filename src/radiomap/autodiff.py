@@ -19,22 +19,26 @@ that fits in one block makes the same BLAS calls as an unblocked loop.
 The shrinkage, projection and structure ops take their forward values from
 the numpy kernels in `shrinkage` and `tensors` and add only the backward
 pass. Node supports + - * /, with * and / defined only for a 0-d scalar
-factor or divisor (smul and recip), so update formulas written with
-operators run on ndarrays and Nodes alike.
+factor or divisor, so update formulas written with operators run on ndarrays
+and Nodes alike.
 
-Gradients accumulate into Node.grad during backward(). Only leaves keep
-theirs: an interior node's gradient is dropped as soon as its backward
-closure has passed it on, so after backward() every interior grad is None.
+Lifetimes. A Node is the forward value: value, and conv2d's padded buffer.
+Its Vertex (Node.vertex) is what backward reads: the parents' vertices, the
+backward closure and grad; Node.parents, Node._backward and Node.grad read
+and write through to it. Each closure captures, when its node is built, its
+parents' vertices and the arrays its backward reads (a parent's value, a
+mask, singular vectors), never a Node. So a forward value lives only while
+forward code holds its Node or a closure has captured the array, and Python
+frees it as soon as neither does; the root keeps the vertices and closures
+alive. A factor of smul that is not a Node, as in Node * 2.0 or Node / rho,
+is a constant: it has no vertex and gets no gradient, and its closure keeps
+no reference to the tensor. Graph construction can be switched off with
+no_grad(), which shares the forward kernels but builds no graph, so
+inference costs no graph memory.
 
-No backward closure reads a node's value at backward time: each captures,
-when its node is built, the arrays its backward reads (a parent's value, a
-mask, singular vectors). So a node's value is needed only by the forward
-code that consumes it, and release() can drop it once that has run; the
-node's parents and closure stay, and backward() gives the same gradients.
-record() collects the nodes built in its body, so a caller can release the
-ones it has used up; what the closures keep lives until the root is
-dropped. Graph construction can be switched off with no_grad(), which shares
-the forward kernels but records nothing, so inference costs no graph memory.
+Gradients accumulate into the vertices during backward(). Only leaves keep
+theirs: an interior vertex's gradient is dropped as soon as its closure has
+passed it on, so after backward() every interior grad is None.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .tensors import project as _project
 from .tensors import unfold as _unfold
 
 _grad_enabled = True
-_recorder = None  # the list record() collects built nodes into, or None
 
 
 @contextlib.contextmanager
@@ -69,60 +72,59 @@ def no_grad():
         _grad_enabled = prev
 
 
-@contextlib.contextmanager
-def record():
-    """Collect every graph node built in the body into the yielded list.
+class Vertex:
+    """What backward reads of one node: its parents' vertices, its backward
+    closure (None on a leaf) and its gradient. It holds no forward value."""
 
-    Nothing is collected under no_grad(), where nodes have no graph."""
-    global _recorder
-    prev = _recorder
-    _recorder = []
-    try:
-        yield _recorder
-    finally:
-        _recorder = prev
+    __slots__ = ("parents", "backward", "grad")
 
-
-def release(nodes, keep=()) -> None:
-    """Drop the forward value of every node in nodes that is not in keep.
-
-    The value and conv2d's padded buffer become None and must not be read
-    again; parents and the backward closure stay, so backward() through the
-    node is unchanged."""
-    kept = {id(n) for n in keep}
-    for n in nodes:
-        if id(n) not in kept:
-            n.value = n.padded = None
+    def __init__(self, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad = None
 
 
 class Node:
-    """One value in the computation graph. Leaves are created directly."""
+    """One forward value and its graph vertex. Leaves are created directly;
+    an op passes its parents' vertices and its backward closure."""
 
-    __slots__ = ("value", "grad", "parents", "_backward", "padded")
+    __slots__ = ("value", "padded", "vertex")
     # an ndarray on the left of an operator defers to the reflected method
     # below instead of building an object array
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
         self.padded = None  # set by conv2d only: the zero-bordered buffer value lies in
-        if _grad_enabled:
-            self.parents = tuple(parents)
-            self._backward = backward
-            if _recorder is not None:
-                _recorder.append(self)
-        else:
-            self.parents = ()
-            self._backward = None
+        self.vertex = Vertex(tuple(parents), backward) if _grad_enabled else Vertex()
+
+    @property
+    def grad(self):
+        return self.vertex.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.vertex.grad = g
+
+    @property
+    def parents(self):
+        """The parents' vertices."""
+        return self.vertex.parents
+
+    @property
+    def _backward(self):
+        return self.vertex.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.vertex.backward = fn
 
     @property
     def shape(self):
         return self.value.shape
 
     def __repr__(self):
-        shape = "released" if self.value is None else self.value.shape
-        return f"Node(shape={shape}, leaf={self._backward is None})"
+        return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
 
     def __add__(self, other):
         return add(self, other)
@@ -143,20 +145,22 @@ class Node:
         return _mul(other, self)
 
     def __truediv__(self, other):
-        return smul(recip(other), self)
+        if isinstance(other, Node):
+            return smul(recip(other), self)
+        return smul(1.0 / np.asarray(other, dtype=np.float64), self)
 
 
 def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x)
 
 
-def _acc(node: Node, g: np.ndarray) -> None:
+def _acc(v: Vertex, g: np.ndarray) -> None:
     # the first gradient is copied, not zero-filled and added to: one g is
     # often handed to several parents, and later sums go into grad in place
-    if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64)
+    if v.grad is None:
+        v.grad = np.array(g, dtype=np.float64)
     else:
-        node.grad += g
+        v.grad += g
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -174,33 +178,34 @@ def _scalar(a: Node, op: str) -> None:
 def backward(root: Node) -> None:
     """Reverse-accumulate d(root)/d(leaf) into the grad of every reachable leaf.
 
-    An interior node's grad lives only until its closure has run: reverse
-    topological order completes it before that, and the closure has handed
-    it to the parents after, so it is set back to None there. Leaves keep
-    their grad. parents and the closures stay, so the graph can still be
-    walked after backward returns.
+    The walk goes over vertices only, so it reads no forward value but the
+    root's shape. An interior vertex's grad lives only until its closure has
+    run: reverse topological order completes it before that, and the closure
+    has handed it to the parents after, so it is set back to None there.
+    Leaves keep their grad. parents and the closures stay, so the graph can
+    still be walked after backward returns.
     """
     if root.value.ndim != 0:
         raise InvalidArgumentError(f"backward root must be scalar, got shape {root.value.shape}")
-    order: list[Node] = []
+    order: list[Vertex] = []
     seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack: list[tuple[Vertex, bool]] = [(root.vertex, False)]
     while stack:
-        node, expanded = stack.pop()
+        v, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(v)
             continue
-        if id(node) in seen:
+        if id(v) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
+        seen.add(id(v))
+        stack.append((v, True))
+        for p in v.parents:
             stack.append((p, False))
-    root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+    root.vertex.grad = np.ones_like(root.value)
+    for v in reversed(order):
+        if v.backward is not None and v.grad is not None:
+            v.backward(v.grad)
+            v.grad = None
 
 
 def zero_grads(nodes) -> None:
@@ -214,72 +219,93 @@ def zero_grads(nodes) -> None:
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "add")
+    va, vb = a.vertex, b.vertex
 
     def bw(g):
-        _acc(a, g)
-        _acc(b, g)
+        _acc(va, g)
+        _acc(vb, g)
 
-    return Node(a.value + b.value, (a, b), bw)
+    return Node(a.value + b.value, (va, vb), bw)
 
 
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "sub")
+    va, vb = a.vertex, b.vertex
 
     def bw(g):
-        _acc(a, g)
-        _acc(b, -g)
+        _acc(va, g)
+        _acc(vb, -g)
 
-    return Node(a.value - b.value, (a, b), bw)
+    return Node(a.value - b.value, (va, vb), bw)
 
 
 def neg(a) -> Node:
     a = as_node(a)
+    va = a.vertex
 
     def bw(g):
-        _acc(a, -g)
+        _acc(va, -g)
 
-    return Node(-a.value, (a,), bw)
+    return Node(-a.value, (va,), bw)
 
 
 def smul(s, t) -> Node:
-    """Scalar times tensor (the only broadcast the engine allows)."""
-    s, t = as_node(s), as_node(t)
+    """Scalar times tensor (the only broadcast the engine allows).
+
+    A scalar that is not a Node (a number or a 0-d array) is a constant: it
+    gets no gradient, so the closure keeps no reference to the tensor."""
+    t = as_node(t)
+    vt = t.vertex
+    if not isinstance(s, Node):
+        sv = np.asarray(s, dtype=np.float64)
+        if sv.ndim != 0:
+            raise InvalidArgumentError(f"smul expects a 0-d scalar, got shape {sv.shape}")
+
+        def bw(g):
+            _acc(vt, sv * g)
+
+        return Node(sv * t.value, (vt,), bw)
     _scalar(s, "smul")
-    sv, tv = s.value, t.value
+    sv, tv, vs = s.value, t.value, s.vertex
 
     def bw(g):
-        _acc(t, sv * g)
-        _acc(s, np.asarray(np.sum(g * tv)))
+        _acc(vt, sv * g)
+        _acc(vs, np.asarray(np.sum(g * tv)))
 
-    return Node(sv * tv, (s, t), bw)
+    return Node(sv * tv, (vs, vt), bw)
 
 
 def _mul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return smul(b, a) if b.value.ndim == 0 else smul(a, b)
+    """a * b with one 0-d factor: a 0-d factor that is not a Node is smul's
+    constant; otherwise the scalar is b when b is 0-d, else a."""
+    if not isinstance(a, Node) and np.ndim(a) == 0:
+        return smul(a, b)
+    if np.ndim(b.value if isinstance(b, Node) else b) == 0:
+        return smul(b, a)
+    return smul(a, b)
 
 
 def recip(s) -> Node:
     s = as_node(s)
     _scalar(s, "recip")
-    v = 1.0 / s.value
+    v, vs = 1.0 / s.value, s.vertex
 
     def bw(g):
-        _acc(s, -g * v * v)
+        _acc(vs, -g * v * v)
 
-    return Node(v, (s,), bw)
+    return Node(v, (vs,), bw)
 
 
 def exp(s) -> Node:
     s = as_node(s)
     _scalar(s, "exp")
-    v = np.exp(s.value)
+    v, vs = np.exp(s.value), s.vertex
 
     def bw(g):
-        _acc(s, g * v)
+        _acc(vs, g * v)
 
-    return Node(v, (s,), bw)
+    return Node(v, (vs,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +406,16 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
     of padding a copy; any other input (other kernel, other op) is padded
     afresh. Only conv2d sets padded, and nothing writes to the buffer after
     it returns, so its pad cells stay zero through forward and backward.
+
+    The backward hands the input gradient over in the same layout. dflat
+    has the padded input's shape, so when the forward read the input's
+    buffer, dflat's interior view is stored as the input's first gradient
+    instead of being copied out (a later gradient is added to it as usual).
+    When that view reaches the producing conv as its g, the conv takes
+    dflat's rows as its gx: it zeroes the wrapped columns, which lie on
+    dflat's pad cells, and applies its ReLU mask in place, instead of
+    zero-filling a fresh gx. Every gradient receives the same adds in the
+    same order either way.
     """
     x, w = as_node(x), as_node(w)
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -401,7 +437,8 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
     hpad, wp = h + 2 * ph + 1, wd + 2 * pw
     n = h * wp
     pad = x.padded
-    if pad is None or pad.shape != (hpad, wp, ci):
+    handover = pad is not None and pad.shape == (hpad, wp, ci)
+    if not handover:
         pad = np.zeros((hpad, wp, ci))
         pad[ph:ph + h, pw:pw + wd] = x.value
     flat = pad.reshape(-1, ci)
@@ -425,15 +462,27 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
     # only the ReLU mask reads the value: a closure naming value would keep
     # the buffer alive through the backward for a layer without ReLU too
     relu_value = value if relu else None
+    vx, vw = x.vertex, w.vertex
+    vb = None if b is None else b.vertex
 
     def bw(g):
-        gx = np.zeros((h, wp, co))
-        if relu:
-            np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
+        base = g.base
+        if (base is not None and base.shape == (hpad * wp, co)
+                and base.reshape(hpad, wp, co)[ph:ph + h, pw:pw + wd].__array_interface__
+                == g.__array_interface__):
+            # g is the interior of a following conv's dflat, handed over
+            gx = base[s:s + n].reshape(h, wp, co)
+            gx[:, wd:] = 0.0
+            if relu:
+                np.multiply(g, relu_value > 0.0, out=g)
         else:
-            gx[:, :wd] = g
-        if b is not None:
-            _acc(b, gx[:, :wd].sum(axis=(0, 1)))
+            gx = np.zeros((h, wp, co))
+            if relu:
+                np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
+            else:
+                gx[:, :wd] = g
+        if vb is not None:
+            _acc(vb, gx[:, :wd].sum(axis=(0, 1)))
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
         dw = np.empty((len(blocks),) + wv.shape)
@@ -448,10 +497,14 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
                     lo, hi = max(r0, o), min(q1, o + n)
                     if lo < hi:
                         _gemm_acc(wv[dy, dx], gx[lo - o:hi - o].T, dflat[lo:hi].T)
-        _acc(x, dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd])
-        _acc(w, dw.sum(axis=0))
+        dx_in = dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd]
+        if handover and vx.grad is None:
+            vx.grad = dx_in  # no other reference to dflat: no copy needed
+        else:
+            _acc(vx, dx_in)
+        _acc(vw, dw.sum(axis=0))
 
-    node = Node(value, (x, w) if b is None else (x, w, b), bw)
+    node = Node(value, (vx, vw) if vb is None else (vx, vw, vb), bw)
     node.padded = buf
     return node
 
@@ -463,21 +516,23 @@ def bias_add(x, b) -> Node:
             f"bias_add expects (h,w,c) and (c,), got {x.value.shape} and {b.value.shape}"
         )
 
-    def bw(g):
-        _acc(x, g)
-        _acc(b, g.sum(axis=(0, 1)))
+    vx, vb = x.vertex, b.vertex
 
-    return Node(x.value + b.value, (x, b), bw)
+    def bw(g):
+        _acc(vx, g)
+        _acc(vb, g.sum(axis=(0, 1)))
+
+    return Node(x.value + b.value, (vx, vb), bw)
 
 
 def relu(x) -> Node:
     x = as_node(x)
-    on = x.value > 0.0
+    on, vx = x.value > 0.0, x.vertex
 
     def bw(g):
-        _acc(x, g * on)
+        _acc(vx, g * on)
 
-    return Node(np.maximum(x.value, 0.0), (x,), bw)
+    return Node(np.maximum(x.value, 0.0), (vx,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +545,14 @@ def soft_threshold(x, tau) -> Node:
     t = _check_tau(tau.value)
     xv = x.value
     active = np.abs(xv) > t
+    vx, vtau = x.vertex, tau.vertex
 
     def bw(g):
         # subgradient 0 exactly at the kink
-        _acc(x, np.where(active, g, 0.0))
-        _acc(tau, np.asarray(-np.sum(g * np.sign(xv) * active)))
+        _acc(vx, np.where(active, g, 0.0))
+        _acc(vtau, np.asarray(-np.sum(g * np.sign(xv) * active)))
 
-    return Node(_shrink(xv, t), (x, tau), bw)
+    return Node(_shrink(xv, t), (vx, vtau), bw)
 
 
 def svt(m, tau) -> Node:
@@ -512,14 +568,15 @@ def svt(m, tau) -> Node:
         raise InvalidArgumentError(f"svt expects a matrix, got shape {m.value.shape}")
     t = _check_tau(tau.value)
     u, s, vt = _svd(m.value, t)  # only the retained triplets, s > t
+    vm, vtau = m.vertex, tau.vertex
 
     def bw(g):
         # d_i = u_i^T g v_i for retained directions
         d = np.einsum("ir,ij,rj->r", u, g, vt)
-        _acc(m, (u * d) @ vt)
-        _acc(tau, np.asarray(-np.sum(d)))
+        _acc(vm, (u * d) @ vt)
+        _acc(vtau, np.asarray(-np.sum(d)))
 
-    return Node((u * (s - t)) @ vt, (m, tau), bw)
+    return Node((u * (s - t)) @ vt, (vm, vtau), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -527,32 +584,32 @@ def svt(m, tau) -> Node:
 
 def unfold(t, mode: int) -> Node:
     t = as_node(t)
-    shape = t.value.shape
+    shape, vt = t.value.shape, t.vertex
 
     def bw(g):
-        _acc(t, _fold(g, mode, shape))
+        _acc(vt, _fold(g, mode, shape))
 
-    return Node(_unfold(t.value, mode), (t,), bw)
+    return Node(_unfold(t.value, mode), (vt,), bw)
 
 
 def fold(m, mode: int, shape) -> Node:
     m = as_node(m)
-    shape = tuple(shape)
+    shape, vm = tuple(shape), m.vertex
 
     def bw(g):
-        _acc(m, _unfold(g, mode))
+        _acc(vm, _unfold(g, mode))
 
-    return Node(_fold(m.value, mode, shape), (m,), bw)
+    return Node(_fold(m.value, mode, shape), (vm,), bw)
 
 
 def project(t, mask: ObservationMask, complement: bool = False) -> Node:
     t = as_node(t)
-    out = _project(t.value, mask, complement)
+    out, vt = _project(t.value, mask, complement), t.vertex
 
     def bw(g):
-        _acc(t, _project(g, mask, complement))
+        _acc(vt, _project(g, mask, complement))
 
-    return Node(out, (t,), bw)
+    return Node(out, (vt,), bw)
 
 
 def scale_to_ball(x, radius) -> Node:
@@ -568,20 +625,21 @@ def scale_to_ball(x, radius) -> Node:
         raise InvalidArgumentError(f"radius must be finite and >= 0, got {r}")
     out = _scale_to_ball(x.value, r)
     nrm = float(np.linalg.norm(x.value.ravel()))
+    vx, vr = x.vertex, radius.vertex
     if nrm <= r:
         def bw(g):
-            _acc(x, g)
+            _acc(vx, g)
 
-        return Node(out, (x, radius), bw)
+        return Node(out, (vx, vr), bw)
     scale = r / nrm
     xv = x.value
 
     def bw(g):
         dot = float(np.sum(xv * g))
-        _acc(x, scale * (g - xv * (dot / (nrm * nrm))))
-        _acc(radius, np.asarray(dot / nrm))
+        _acc(vx, scale * (g - xv * (dot / (nrm * nrm))))
+        _acc(vr, np.asarray(dot / nrm))
 
-    return Node(out, (x, radius), bw)
+    return Node(out, (vx, vr), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -592,28 +650,28 @@ def l1_loss(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "l1_loss")
     d = a.value - b.value
-    n = d.size
+    n, va, vb = d.size, a.vertex, b.vertex
 
     def bw(g):
         s = np.sign(d) * (float(g) / n)
-        _acc(a, s)
-        _acc(b, -s)
+        _acc(va, s)
+        _acc(vb, -s)
 
-    return Node(np.asarray(np.mean(np.abs(d))), (a, b), bw)
+    return Node(np.asarray(np.mean(np.abs(d))), (va, vb), bw)
 
 
 def mse_loss(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     _same_shape(a, b, "mse_loss")
     d = a.value - b.value
-    n = d.size
+    n, va, vb = d.size, a.vertex, b.vertex
 
     def bw(g):
         s = d * (2.0 * float(g) / n)
-        _acc(a, s)
-        _acc(b, -s)
+        _acc(va, s)
+        _acc(vb, -s)
 
-    return Node(np.asarray(np.mean(d * d)), (a, b), bw)
+    return Node(np.asarray(np.mean(d * d)), (va, vb), bw)
 
 
 # ---------------------------------------------------------------------------

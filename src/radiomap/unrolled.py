@@ -12,7 +12,7 @@ alpha and rho stay fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,32 +181,25 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
     return pq_step
 
 
-def _state_nodes(state: admm.AdmmState) -> list:
-    """Every node of a block's output state, in AdmmState's field order."""
-    values = [getattr(state, f.name) for f in fields(state)]
-    return [n for v in values for n in (v if isinstance(v, list) else [v])]
-
-
 def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
     """Run all blocks; returns the estimate D_hat = X + E as a Node.
 
     The inputs are checked first, so a bad argument inside a block is a
     computed value (an overflowed scalar, say): a NumericalFailureError.
 
-    With the graph on, each block records the nodes it builds. Once block k
-    has run, every value built by blocks k-1 and k is released except block
-    k's output state: the rest of the forward reads only that state, and the
-    backward closures keep what they read. So the graph holds the closures
-    of every block but the forward values of one state. Under no_grad
-    nothing is recorded and nothing released."""
+    With the graph on, a forward value lives only while this code holds its
+    Node or a backward closure has captured the array it reads: the graph's
+    vertices hold no values (see autodiff). So once block k has run, only
+    its output state and what the closures keep are left of blocks up to k,
+    and the returned Node keeps the graph of every block. Under no_grad no
+    closure is kept, and only the current state is."""
     d, pd = observed(d, mask)
     if d.shape[2] != model.k_bands:
         raise InvalidArgumentError(f"model expects {model.k_bands} bands, got {d.shape[2]}")
     pd = ad.Node(pd)
     state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
-    last = []
     for k, blk in enumerate(model.blocks):
-        with reraise(NumericalFailureError, f"block {k}"), ad.record() as built:
+        with reraise(NumericalFailureError, f"block {k}"):
             state = admm.block_step(state, pd, mask, _block_hp(model, blk),
                                     _learned_pq(model, blk), ad)
         # E too: a non-finite Q from block k-1 reaches E in block k while X
@@ -215,8 +208,6 @@ def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
             if not np.all(np.isfinite(v.value)):
                 raise NumericalFailureError(
                     f"block {k} produced non-finite {name}; scalars {blk.decoded_scalars()}")
-        ad.release(last + built, _state_nodes(state))
-        last = built
     return state.x + state.e
 
 
@@ -260,10 +251,11 @@ def train(model: UnrolledModel, dataset, cfg: TrainConfig | None = None):
     dataset: sequence of (d_full, mask) pairs. Returns (model, history) where
     history carries per-step training losses ("train") and per-epoch
     validation losses ("val", empty without a validation split). One step's
-    graph is alive at a time: it is dropped when the step ends, forward keeps
-    only each block's output state and what the backward closures read, and
-    backward keeps gradients only on leaves. So training memory is one lean
-    graph plus one backward's working gradients, whatever the number of steps.
+    graph is alive at a time: it is dropped when the step ends. The graph
+    keeps only what the backward closures read, since each forward value is
+    freed once the forward code drops its Node, and backward keeps gradients
+    only on leaves. So training memory is one lean graph plus one backward's
+    working gradients, whatever the number of steps.
     """
     cfg = cfg or TrainConfig()
     pairs = [(as_tensor(d), mask) for d, mask in dataset]

@@ -4,11 +4,13 @@ The svt backward uses a fixed singular-vector pattern, so its deviation from
 finite differences is measured and printed but not asserted.
 """
 
+import gc
 import weakref
 
 import numpy as np
 import pytest
 from gradcheck import fd_check, loss_against
+from lifetimes import alive_uncaptured, captured_arrays, collect_built, value_refs, vertices
 
 import radiomap.autodiff as ad
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
@@ -229,7 +231,8 @@ def test_grad_conv2d_epilogue_away_from_kink(rng):
 def without_buffer(y):
     """y's value under a node that carries no padded buffer; the gradient
     passes through unchanged."""
-    return ad.Node(y.value.copy(), (y,), lambda g: ad._acc(y, g))
+    v = y.vertex
+    return ad.Node(y.value.copy(), (v,), lambda g: ad._acc(v, g))
 
 
 def conv_chain(x, layers, strip=False):
@@ -659,28 +662,27 @@ def test_backward_keeps_gradients_only_on_leaves(rng):
     b = rng.normal(size=(2,)) * 0.1
     s = np.asarray(0.7)
     c = rng.normal(size=DIMS)
+    consts = []
 
     def build(xn, wn, bn, sn):
+        consts[:] = [ad.Node(np.asarray(1e3)), ad.Node(c)]
         y = ad.bias_add(ad.conv2d(xn, wn), bn)
         # tau above ||y||_F: the svt keeps no rank, as nearly all of them do in
         # training, and its fixed-pattern gradient (zero) is then exact
-        m = ad.svt(ad.unfold(y, 1), ad.Node(np.asarray(1e3)))
+        m = ad.svt(ad.unfold(y, 1), consts[0])
         y = ad.smul(sn, ad.relu(ad.add(ad.fold(m, 1, DIMS), y)))
-        return ad.mse_loss(y, ad.Node(c))
+        return ad.mse_loss(y, consts[1])
 
     fd_check(build, [x, w, b, s], tol=5e-4)
-    root = build(*(ad.Node(v) for v in (x, w, b, s)))
+    leaves = [ad.Node(v) for v in (x, w, b, s)]
+    root = build(*leaves)
+    leaves += consts
     ad.backward(root)
-    nodes, stack = {}, [root]
-    while stack:
-        n = stack.pop()
-        if id(n) not in nodes:
-            nodes[id(n)] = n
-            stack.extend(n.parents)
-    interior = [n for n in nodes.values() if n._backward is not None]
-    leaves = [n for n in nodes.values() if n._backward is None]
-    assert len(interior) == 9 and len(leaves) == 6
-    assert all(n.grad is None for n in interior)
+    graph = vertices([root])
+    interior = [v for v in graph if v.backward is not None]
+    assert len(interior) == 9 and len(graph) == 15
+    assert {id(v) for v in graph if v.backward is None} == {id(n.vertex) for n in leaves}
+    assert all(v.grad is None for v in interior)
     assert all(n.grad is not None and n.grad.shape == n.value.shape for n in leaves)
 
 
@@ -731,22 +733,29 @@ def closure_cases(rng):
 
 
 @pytest.mark.parametrize("name", list(closure_cases(np.random.default_rng(0))))
-def test_backward_reads_no_forward_value(rng, name):
-    """Each closure captures what its backward reads when its node is built:
-    with every value but the root's released, the leaves included, backward
-    gives the same gradients bit for bit."""
+def test_backward_reads_no_forward_value(rng, monkeypatch, name):
+    """The graph keeps no forward value its backward does not read: with
+    every handle but the root's and the leaves' dropped, each interior value
+    is freed unless a closure captured the array itself, and backward gives
+    the gradients of a run that kept every Node, bit for bit."""
     build, values = closure_cases(rng)[name]
     runs = []
-    for release in (False, True):
+    for keep in (True, False):
+        built = collect_built(monkeypatch)
         leaves = [ad.Node(np.array(v, dtype=float)) for v in values]
-        with ad.record() as built:
-            root = build(*leaves)
+        del built[:]
+        root = build(*leaves)
         assert built and root is built[-1]
-        if release:
-            ad.release(leaves + built, keep=[root])
+        if not keep:
+            interior = value_refs([n for n in built[:-1] if n._backward is not None])
+            del built[:]
+            gc.collect()
+            assert alive_uncaptured(interior, [root]) == []
+            assert any(r() is None for r in interior)
         ad.backward(root)
         runs.append([n.grad for n in leaves])
-    grads, ref = runs
+        monkeypatch.undo()
+    ref, grads = runs
     assert ref[0] is not None  # the inactive ball passes no gradient to its radius
     for a, b in zip(grads, ref):
         assert (a is None and b is None) or np.array_equal(a, b)
@@ -755,34 +764,69 @@ def test_backward_reads_no_forward_value(rng, name):
 @pytest.mark.parametrize("relu", [False, True])
 def test_released_conv2d_keeps_its_buffer_only_for_the_relu_mask(rng, relu):
     """conv2d's backward reads its own value only to mask by the ReLU, so
-    once the node is released its zero-bordered buffer is freed when the
+    once the node is dropped its zero-bordered buffer is freed when the
     layer has no ReLU, and kept for the mask when it has one."""
     x, w, b = (ad.Node(rng.normal(size=s)) for s in (DIMS, (3, 3, 2, 3), (3,)))
     y = ad.conv2d(x, w, b, relu=relu)
     buf = weakref.ref(y.padded)
     root = ad.mse_loss(y, np.zeros(y.value.shape))
-    ad.release([y], keep=[root])
+    del y
+    gc.collect()
     assert (buf() is not None) == relu
     ad.backward(root)
     assert all(p.grad is not None for p in (x, w, b))
 
 
-def test_record_collects_graph_nodes_only(rng):
-    """record() collects every node built in its body, constants wrapped by
-    an op included, restores the outer recorder, and collects nothing under
-    no_grad; release() drops values but keeps parents and closures."""
-    a = ad.Node(rng.normal(size=DIMS))
-    with ad.record() as outer:
-        b = ad.smul(2.0, a)
-        with ad.record() as inner:
-            c = ad.add(b, b)
-        with ad.no_grad(), ad.record() as none:
-            ad.add(b, b)
-    assert ad._recorder is None
-    assert len(outer) == 2 and outer[1] is b and inner == [c] and none == []
-    ad.release(outer + inner, keep=[c])
-    assert b.value is None and c.value is not None and b.parents[1] is a
-    assert "released" in repr(b)
+def test_plain_number_factor_is_a_constant(rng):
+    """Node * number, number * Node and Node / number go through smul with
+    the number as a constant: one parent, a closure that holds no tensor,
+    and the gradient of a learnable scalar of the same value."""
+    t = ad.Node(rng.normal(size=DIMS))
+    c = rng.normal(size=DIMS)
+    for y, factor in ((t * 0.5, 0.5), (0.5 * t, 0.5), (t / 4.0, 0.25)):
+        assert y.parents == (t.vertex,)
+        assert all(a.ndim == 0 for a in captured_arrays([y]))
+        t.grad = None
+        ad.backward(ad.mse_loss(y, c))
+        ref_t, s = ad.Node(t.value), ad.Node(np.asarray(factor))
+        ad.backward(ad.mse_loss(ad.smul(s, ref_t), c))
+        assert np.array_equal(t.grad, ref_t.grad)
+    loss = ad.mse_loss(t, c)
+    scaled = 0.25 * loss
+    assert scaled.parents == (loss.vertex,)
+    ad.backward(scaled)
+    with pytest.raises(InvalidArgumentError):
+        ad.smul(np.ones(2), t)
+
+
+def test_conv2d_hands_the_input_gradient_over_in_the_padded_layout(rng, monkeypatch):
+    """A conv that read its input's buffer stores its dflat's interior as
+    that input's first gradient, with no crop copy; the producing conv then
+    takes dflat's rows as its gx instead of zero-filling a fresh one. The
+    gradients equal those of the same chain fed a buffer-free copy."""
+    x, c = rng.normal(size=(9, 7, 3)), rng.normal(size=(9, 7, 2))
+    values = [x] + [rng.normal(size=s) * 0.3 for s in ((3, 3, 3, 4), (4,), (3, 3, 4, 2), (2,))]
+    leaves = [ad.Node(v) for v in values]
+    y1, y2 = conv_chain(leaves[0], [leaves[1:3], leaves[3:]])
+    root = ad.mse_loss(y2, c)
+    root.grad = np.ones(())
+    root._backward(root.grad)
+    y2._backward(y2.grad)
+    g = y1.grad
+    assert g.base is not None and g.base.shape == (y1.padded.size // 4, 4)
+    assert not np.shares_memory(g, y1.padded)
+    zeros = []
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: zeros.append(a) or ZEROS(*a, **k))
+    y1._backward(g)
+    monkeypatch.undo()
+    assert zeros == []  # the input's dflat comes from zeros_like
+    ref = [ad.Node(v) for v in values]
+    ad.backward(ad.mse_loss(conv_chain(ref[0], [ref[1:3], ref[3:]], strip=True)[-1], c))
+    for a, b in zip(leaves, ref):
+        assert np.array_equal(a.grad, b.grad)
+
+
+ZEROS = np.zeros
 
 
 def test_zero_grads(rng):

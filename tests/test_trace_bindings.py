@@ -14,9 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lifetimes import vertices
+
+import radiomap.autodiff as ad
 from radiomap import admm, metrics, unrolled
 from radiomap.config import parse_config
-from radiomap.propagation import SceneSpec, generate_scene, sample_mask
+from radiomap.propagation import SceneSpec, generate_scene, ldpl_interpolate, sample_mask
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -79,3 +82,33 @@ def test_tracer_sees_every_estimator_of_the_table(tracing):
     for run in runs:
         assert {name: run.count.get(name, 0) for name in estimators} == dict.fromkeys(estimators, 1)
         assert tracing.self_check(run, {}) == []
+
+
+def test_tracer_times_every_backward_closure_of_a_training_step(tracing, monkeypatch):
+    """The tracer wraps a conv2d's or svt's backward by assigning
+    Node._backward, and sizes the graph by walking Node.parents; the closure
+    backward calls and the vertices it visits sit on the Node's vertex. In a
+    traced training step of the default model at 16x16, every conv2d and svt
+    that backward reaches records one backward span (the last block's
+    mappers feed only its multipliers, so backward never reaches them), and
+    the graph size is the number of vertices backward visits."""
+    d, mask = small_instance()
+    model = unrolled.UnrolledModel.create(h=16, w=16, k_bands=3, seed=0)
+    params = model.params()
+    roots, backward = [], ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: roots.append(root) or backward(root))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        unrolled._train_step(model, params, ad.AdamState.for_params(params), d, mask,
+                             ldpl_interpolate(d, mask).values, 1e-3, 0)
+    finally:
+        tracer.uninstall()
+    run = tracing.Summary(tracer.take())
+    assert tracing.self_check(run, {"unrolled.forward": 1, "autodiff.backward": 1}) == []
+    live_convs = 2 * tracing.MAPPER_LAYERS * (tracing.K_BLOCKS - 1)
+    assert run.count.get("autodiff.conv2d.bwd", 0) == live_convs
+    assert run.count["autodiff.conv2d"] == live_convs + 2 * tracing.MAPPER_LAYERS
+    assert run.count.get("autodiff.svt.bwd", 0) == run.count["autodiff.svt"] == 3 * tracing.K_BLOCKS
+    [size] = [run.spans[i][tracing.INFO] for i in run.of("autodiff.backward")]
+    assert size == len(vertices(roots)) > 500

@@ -1,13 +1,16 @@
 """Unrolled solver network: block semantics, training loop, inference."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from lifetimes import alive_uncaptured, collect_built, value_refs
 
 import radiomap.autodiff as ad
 import radiomap.shrinkage as shrinkage
 import radiomap.unrolled as unrolled
+from radiomap import admm
 from radiomap.admm import AdmmHyperParams, solve_admm
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
 from radiomap.metrics import psnr
@@ -294,69 +297,115 @@ def test_train_holds_one_graph_at_a_time():
 
 def test_block_release_changes_no_bit_of_training_or_inference(monkeypatch):
     """Training history, trained parameters and infer outputs are the same
-    bits with each block's used-up values released and with nothing released."""
+    bits when each forward value is freed as soon as the forward code drops
+    it, when every Node built is kept alive, and when no conv output carries
+    its padded buffer, so that no conv reads its input's buffer or hands the
+    input gradient over in the padded layout."""
     cfg = TrainConfig(epochs=2, lr=1e-3, seed=3, val_split=0.25)
     d, mask = small_dataset(1)[0]
+    conv2d = ad.conv2d
+
+    def unpadded(*args, **kwargs):
+        y = conv2d(*args, **kwargs)
+        y.padded = None
+        return y
+
     runs = []
-    for lean in (True, False):
-        if not lean:
-            monkeypatch.setattr(ad, "release", lambda nodes, keep=(): None)
+    for variant in ("lean", "keep every node", "no padded buffers"):
+        if variant == "keep every node":
+            kept = collect_built(monkeypatch)
+        if variant == "no padded buffers":
+            monkeypatch.setattr(ad, "conv2d", unpadded)
         model, h = train(small_model(k_blocks=3), small_dataset(), cfg)
         runs.append((h, [p.value for p in model.params()], infer(model, d, mask)))
-    (h, params, est), (ref_h, ref_params, ref_est) = runs
-    assert h == ref_h
-    assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
-    assert np.array_equal(est, ref_est)
+        monkeypatch.undo()
+    assert len(kept) > 1000
+    (h, params, est), *others = runs
+    for ref_h, ref_params, ref_est in others:
+        assert h == ref_h
+        assert all(np.array_equal(a, b) for a, b in zip(params, ref_params))
+        assert np.array_equal(est, ref_est)
+
+
+def state_nodes(state: admm.AdmmState) -> list:
+    return [state.x, state.e, state.n, state.p, state.q, state.lam, state.gam, state.phi,
+            *state.y]
 
 
 def test_block_release_keeps_only_the_output_state(monkeypatch, instance):
-    """With the graph on, every block hands its nodes to release, keeping its
-    output state; a no_grad forward records nothing, so it releases nothing."""
-    truth, mask = instance
-    calls = []
-    release = ad.release
-
-    def spy(nodes, keep=()):
-        calls.append((len(nodes), len(keep)))
-        release(nodes, keep)
-
-    monkeypatch.setattr(ad, "release", spy)
-    model = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=3, seed=0)
-    d_hat = forward(model, truth, mask)
-    assert len(calls) == 3 and all(keep == 11 and n > keep for n, keep in calls)
-    ad.backward(loss(d_hat, truth, truth, model.loss_omega))
-    assert all(p.grad is not None for p in model.live_params())
-    calls.clear()
-    infer(model, truth, mask)
-    assert calls == [(0, 11)] * 3
-
-
-def test_recorder_is_cleared_when_a_block_fails(instance):
-    """A block that raises leaves no recorder behind: the next forward, of a
-    healthy model, records and releases as usual and gives the same graph."""
+    """Once block 2 of a 3-block forward has run, every value block 0 built
+    is freed unless a backward closure captured the array: the graph keeps
+    no value it does not read, so block 0's output state is gone too. Under
+    no_grad nothing of block 0 is left by then, and nothing any block built
+    outlives infer."""
     truth, mask = instance
     model = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=3, seed=0)
+    block_step = admm.block_step
+    for grad in (True, False):
+        built = collect_built(monkeypatch)
+        blocks, left = [], []
+
+        def tracked(state, *args):
+            del built[:]  # the block's scalars, decoded before the call
+            out = block_step(state, *args)
+            blocks.append(value_refs(built))
+            del built[:]
+            if len(blocks) == 3:
+                gc.collect()
+                left.append(sum(r() is not None for r in blocks[0]))
+                left.append(alive_uncaptured(blocks[0], state_nodes(out)))
+            return out
+
+        monkeypatch.setattr(admm, "block_step", tracked)
+        if grad:
+            d_hat = forward(model, truth, mask)
+        else:
+            infer(model, truth, mask)
+        monkeypatch.undo()
+        del built[:]  # d_hat
+        alive, uncaptured = left
+        assert uncaptured == []
+        if grad:
+            assert 0 < alive < len(blocks[0]) / 2
+            ad.backward(loss(d_hat, truth, truth, model.loss_omega))
+            assert all(p.grad is not None for p in model.live_params())
+            del d_hat
+        else:
+            assert alive == 0
+        gc.collect()
+        assert all(r() is None for refs in blocks for r in refs)
+
+
+def test_forward_after_a_failing_block_gives_the_same_gradients(instance):
+    """A block that raises leaves nothing behind: the next forward of the
+    healthy model gives the estimate and gradients of one before the
+    failure, and the estimate infer gives."""
+    truth, mask = instance
+    model = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=3, seed=0)
+
+    def step():
+        ad.zero_grads(model.params())
+        d_hat = forward(model, truth, mask)
+        ad.backward(loss(d_hat, truth, truth, model.loss_omega))
+        return d_hat.value, [p.grad for p in model.live_params()]
+
+    ref_value, ref_grads = step()
     saved = model.blocks[1].scalars[-1].value.copy()
     model.blocks[1].scalars[-1].value[...] = 1e3  # log_delta; its exp overflows
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalFailureError, match="block 1: radius must be finite"):
             forward(model, truth, mask)
-    assert ad._recorder is None
     model.blocks[1].scalars[-1].value[...] = saved
-    grads = []
-    for _ in range(2):
-        ad.zero_grads(model.params())
-        d_hat = forward(model, truth, mask)
-        ad.backward(loss(d_hat, truth, truth, model.loss_omega))
-        grads.append([p.grad for p in model.live_params()])
-    assert ad._recorder is None
-    assert np.array_equal(d_hat.value, infer(model, truth, mask))
-    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+    value, grads = step()
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(value, infer(model, truth, mask))
+    assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
 
 
 def test_block_release_lowers_the_peak_of_a_training_step(monkeypatch, instance):
-    """One training step of a 3-block model at 24x24 peaks at 0.71 of the
-    same step with nothing released; bounded at 0.8."""
+    """One training step of a 3-block model at 24x24 peaks at 0.41 of the
+    same step with every Node it builds kept alive, the lifetime a graph
+    whose closures held their parents' Nodes would give; bounded at 0.5."""
     truth, mask = instance
     ldpl_map = ldpl_interpolate(truth, mask).values
 
@@ -373,10 +422,11 @@ def test_block_release_lowers_the_peak_of_a_training_step(monkeypatch, instance)
             tracemalloc.stop()
 
     lean = step_peak()
-    monkeypatch.setattr(ad, "release", lambda nodes, keep=(): None)
+    kept = collect_built(monkeypatch)
     full = step_peak()
-    print(f"step peak {lean} B released, {full} B not: {lean / full:.3f}")
-    assert lean <= 0.8 * full, f"step peak {lean} B released, {full} B not"
+    assert len(kept) > 300
+    print(f"step peak {lean} B lean, {full} B with every node kept: {lean / full:.3f}")
+    assert lean <= 0.5 * full, f"step peak {lean} B lean, {full} B with every node kept"
 
 
 def test_train_rejects_split_with_no_training_sample():
