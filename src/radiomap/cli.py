@@ -17,8 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from . import io as rio
 from .errors import InvalidArgumentError, RadioMapError, bad_path, reraise
-from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, outage_error, psnr, rmse,
-                      standard_methods, sweep)
+from .metrics import (DEFAULT_OUTAGE_THRESHOLD, cap_psnr, classical_solvers, outage_error,
+                      psnr, rmse, standard_methods, sweep)
 from .propagation import SceneSpec, generate_scene, sample_mask
 from .unrolled import UnrolledModel, train
 
@@ -114,7 +114,15 @@ def _cmd_solve(args) -> int:
             print("solve: no --model, using an untrained default model")
             model = UnrolledModel.create(h=d.shape[0], w=d.shape[1], k_bands=d.shape[2],
                                          **cfgmod.unroll_kwargs(cfg))
-    est = standard_methods(model, cfg)[args.method](d, mask)
+    # the table checks every solver setting before any solve
+    methods, solvers = standard_methods(model, cfg), classical_solvers(cfg)
+    if args.method in solvers:
+        res = solvers[args.method](d, mask)
+        est = res.d_hat
+        stop = "converged" if res.converged else "stopped at the iteration cap"
+        print(f"solve: {args.method} {stop} after {len(res.history)} iterations")
+    else:
+        est = methods[args.method](d, mask)
     rio.write_tensor(args.out, est)
     print(f"solve: {args.method} estimate -> {args.out}")
     return 0

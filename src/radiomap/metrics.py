@@ -102,8 +102,7 @@ def standard_methods(model=None, cfg=None) -> dict:
     `unroll` needs a trained model and appears only when one is supplied.
     """
     cfg = cfg if cfg is not None else config.Config({})
-    hp = config.admm_params(cfg)
-    halrtc = config.halrtc_params(cfg)
+    solvers = classical_solvers(cfg)
     shape = cfg.get("rbf.shape")
     d0 = cfg.get("ldpl.d0", 1.0)
     # the rule rbf_interpolate and ldpl_interpolate apply, checked before any solve
@@ -117,12 +116,23 @@ def standard_methods(model=None, cfg=None) -> dict:
         "zero": zero_fill,
         "ldpl": lambda d, m: propagation.ldpl_interpolate(d, m, d0=d0).values,
         "rbf": lambda d, m: propagation.rbf_interpolate(d, m, shape_param=shape).values,
-        "halrtc": lambda d, m: admm.solve_halrtc(d, m, halrtc).d_hat,
-        "admm": lambda d, m: admm.solve_admm(d, m, hp).d_hat,
+        "halrtc": lambda d, m: solvers["halrtc"](d, m).d_hat,
+        "admm": lambda d, m: solvers["admm"](d, m).d_hat,
     }
     if model is not None:
         methods["unroll"] = lambda d, m: unrolled.infer(model, d, m)
     return methods
+
+
+def classical_solvers(cfg) -> dict:
+    """Name -> solver for "halrtc" and "admm" at the halrtc.* and admm.*
+    settings of cfg; each takes (d_full, mask) and returns the AdmmResult,
+    which says how many iterations ran and whether the solve converged."""
+    hp, halrtc = config.admm_params(cfg), config.halrtc_params(cfg)
+    return {
+        "halrtc": lambda d, m: admm.solve_halrtc(d, m, halrtc),
+        "admm": lambda d, m: admm.solve_admm(d, m, hp),
+    }
 
 
 def mask_seed(seed: int, scene_index: int, sparsity_percent: float) -> int:

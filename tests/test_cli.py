@@ -6,6 +6,7 @@ import pytest
 
 from radiomap import cli
 from radiomap import io as rio
+from radiomap.admm import HALRTC_DEFAULTS, solve_halrtc
 from radiomap.cli import main
 from radiomap.metrics import zero_fill
 from radiomap.propagation import sample_mask
@@ -54,6 +55,26 @@ def test_solve_eval_pipeline(scene_dir, tmp_path, capsys):
         assert run("eval", "--est", est, "--truth", scene_dir / "ground_truth.rmt") == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.startswith("psnr_db=") and "rmse=" in line and "outage_error=" in line
+
+
+def test_solve_reports_why_a_classical_solve_stopped(scene_dir, tmp_path, capsys):
+    """solve prints how many iterations an admm or halrtc solve ran and
+    whether it converged or stopped at the iteration cap."""
+    truth = scene_dir / "ground_truth.rmt"
+    mask_path = tmp_path / "m.rmm"
+    run("sample", "--tensor", truth, "--percent", 20, "--seed", 2, "--out", mask_path)
+    capped = tmp_path / "capped.cfg"
+    capped.write_text("admm.max_iters=3\nhalrtc.max_iters=3\n")
+    iterations = len(solve_halrtc(rio.read_tensor(truth), rio.read_mask(mask_path)).history)
+    assert iterations < HALRTC_DEFAULTS.max_iters
+    capsys.readouterr()
+    for method, config, line in (
+            ("halrtc", (), f"halrtc converged after {iterations} iterations"),
+            ("halrtc", ("--config", capped), "halrtc stopped at the iteration cap after 3 iterations"),
+            ("admm", ("--config", capped), "admm stopped at the iteration cap after 3 iterations")):
+        assert run("solve", "--method", method, "--tensor", truth, "--mask", mask_path,
+                   *config, "--out", tmp_path / "est.rmt") == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"solve: {line}"
 
 
 def test_solve_deterministic_output_bytes(scene_dir, tmp_path):

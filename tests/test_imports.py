@@ -176,3 +176,23 @@ np.save("cold.npy", out)
     warm = {}
     exec(BOTH_CALLS, warm)
     assert np.array_equal(np.load(tmp_path / "cold.npy"), warm["out"])
+
+
+def test_wrapper_modules_become_scipy_linalg_attributes_after_a_cold_call(tmp_path):
+    """After a cold rbf_interpolate and conv2d have loaded scipy's LAPACK and
+    BLAS wrapper modules, importing scipy.linalg makes them attributes of the
+    package, as the import system does for any submodule it loads, and the
+    package keeps its own loader."""
+    code = f"""
+import sys
+{BOTH_CALLS}
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg._flapack, scipy.linalg._fblas
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg._fblas is sys.modules["scipy.linalg._fblas"]
+assert scipy.linalg.lapack._flapack is scipy.linalg._flapack
+assert scipy.linalg.__loader__ is scipy.linalg.__spec__.loader
+assert not type(scipy.linalg.__loader__).__module__.startswith("radiomap")
+{SCIPY_MODULES}
+"""
+    assert "scipy.linalg" in run_fresh(code, tmp_path)
