@@ -240,16 +240,6 @@ def sub(a, b) -> Node:
     return Node(a.value - b.value, (va, vb), bw)
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    va = a.vertex
-
-    def bw(g):
-        _acc(va, -g)
-
-    return Node(-a.value, (va,), bw)
-
-
 def smul(s, t) -> Node:
     """Scalar times tensor (the only broadcast the engine allows).
 
@@ -602,12 +592,12 @@ def fold(m, mode: int, shape) -> Node:
     return Node(_fold(m.value, mode, shape), (vm,), bw)
 
 
-def project(t, mask: ObservationMask, complement: bool = False) -> Node:
+def project(t, mask: ObservationMask) -> Node:
     t = as_node(t)
-    out, vt = _project(t.value, mask, complement), t.vertex
+    out, vt = _project(t.value, mask), t.vertex
 
     def bw(g):
-        _acc(vt, _project(g, mask, complement))
+        _acc(vt, _project(g, mask))
 
     return Node(out, (vt,), bw)
 
@@ -694,9 +684,11 @@ class AdamState:
         )
 
 
-def adam_step(params, grads, state: AdamState, lr: float = 1e-3,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+def adam_step(params, grads, state: AdamState, lr: float = 1e-3):
+    """One bias-corrected Adam update, in place on the parameter arrays, with
+    Kingma & Ba's constants: moment decays beta1 = 0.9 and beta2 = 0.999, and
+    eps = 1e-8 added to the root of the second moment."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     arrs = [p.value for p in params]
     if len(arrs) != len(grads) or len(arrs) != len(state.m):
         raise InvalidArgumentError(

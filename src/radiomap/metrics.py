@@ -29,15 +29,14 @@ def _pair(est, truth):
     return est, truth
 
 
-def psnr(est, truth, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); +inf when the maps agree exactly."""
+def psnr(est, truth) -> float:
+    """10*log10(1 / MSE), for maps normalised to [0, 1] (peak 1); +inf when the
+    maps agree exactly."""
     est, truth = _pair(est, truth)
-    if not peak > 0:
-        raise InvalidArgumentError(f"peak must be positive, got {peak}")
     mse = float(np.mean((est - truth) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def cap_psnr(db: float) -> float:

@@ -99,14 +99,13 @@ class ObservationMask:
         return cls(np.ones((h, w), dtype=bool))
 
 
-def project(t: np.ndarray, mask: ObservationMask, complement: bool = False) -> np.ndarray:
-    """Zero every cell outside the mask (or inside it, with complement=True)."""
+def project(t: np.ndarray, mask: ObservationMask) -> np.ndarray:
+    """Zero every cell outside the mask; t - project(t, mask) is its complement."""
     if t.ndim != 3 or t.shape[:2] != (mask.h, mask.w):
         raise InvalidArgumentError(
             f"tensor shape {t.shape} does not match mask grid {mask.h}x{mask.w}"
         )
-    keep = ~mask.sampled if complement else mask.sampled
-    return np.where(keep[:, :, None], t, 0.0)
+    return np.where(mask.sampled[:, :, None], t, 0.0)
 
 
 def observed(d, mask: ObservationMask) -> tuple[np.ndarray, np.ndarray]:

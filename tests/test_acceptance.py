@@ -13,10 +13,12 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from contracts import check_noise_ball, zero_pq
 from gradcheck import fd_check, loss_against
 
 import radiomap.autodiff as ad
 import radiomap.io as rio
+from radiomap import admm
 from radiomap.admm import AdmmHyperParams, solve_admm, solve_halrtc
 from radiomap.errors import FormatError
 from radiomap.metrics import outage_error, psnr, standard_methods, sweep
@@ -192,7 +194,6 @@ def test_05_finite_difference_agreement_all_ops():
 
         track("add", fd_check(lambda x, y: red(ad.add(x, y)), [a, b], assert_ok=False))
         track("sub", fd_check(lambda x, y: red(ad.sub(x, y)), [a, b], assert_ok=False))
-        track("neg", fd_check(lambda x: red(ad.neg(x)), [a], assert_ok=False))
 
         s = np.asarray(rng.uniform(0.3, 1.2) * rng.choice([-1.0, 1.0]))
         anchor = ad.Node(np.asarray(0.4))
@@ -236,8 +237,6 @@ def test_05_finite_difference_agreement_all_ops():
         mask = ObservationMask(rng.random(DIMS[:2]) < 0.5)
         track("project", fd_check(lambda x: red(ad.project(x, mask)), [a],
                                   assert_ok=False))
-        track("project", fd_check(lambda x: red(ad.project(x, mask, complement=True)),
-                                  [a], assert_ok=False))
 
         # ball scaling is kinked where the norm crosses the radius
         far = a / fro_norm(a) * 2.0
@@ -354,18 +353,27 @@ def test_08_psnr_non_decreasing_in_sampling_rate(trained_model):
 # ---------------------------------------------------------------------------
 # solver contract
 
-def test_09_noise_ball_contract_under_check_flag():
+def test_09_noise_ball_contract_under_check_flag(monkeypatch):
+    """The on-mask noise stays in its ball after every N step (the check is
+    wrapped on admm.update_n), with the identity P/Q step and with P and Q
+    held at zero."""
     spec = SceneSpec.random(32, 32, 3, n_transmitters=1, n_obstructions=10,
                             obstruction_depth=12.0, seed=7700)
     truth = generate_scene(spec).ground_truth
     mask = sample_mask(32, 32, 30.0, seed=7701)
-    for delta, prox_mode in ((0.0, "identity"), (0.05, "identity"),
-                             (0.2, "identity"), (0.05, "none")):
+    norms = check_noise_ball(monkeypatch)
+    steps = 0
+    for delta, pq in ((0.0, "identity"), (0.05, "identity"), (0.2, "identity"), (0.05, "zero")):
         hp = AdmmHyperParams(delta=delta, max_iters=60)
-        res = solve_admm(truth, mask, hp, check_contracts=True, prox_mode=prox_mode)
+        with monkeypatch.context() as mp:
+            if pq == "zero":
+                mp.setattr(admm, "update_pq_classical", zero_pq)
+            res = solve_admm(truth, mask, hp)
+        steps += len(res.history)
         ball = fro_norm(project(res.n, mask))
-        print(f"delta={delta} prox={prox_mode}: final on-mask noise norm {ball:.3e}")
+        print(f"delta={delta} pq={pq}: final on-mask noise norm {ball:.3e}")
         assert ball <= delta + 1e-12
+    assert len(norms) == steps
 
 
 # ---------------------------------------------------------------------------

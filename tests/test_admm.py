@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from contracts import check_noise_ball
 
-from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState, block_step,
+from radiomap import admm
+from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState,
                            psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical, update_x)
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
@@ -180,8 +182,8 @@ def test_update_n_zero_delta_kills_observed_cells(rng):
     n = update_n(st, project(d, mask), mask, hp, NUMPY)
     assert fro_norm(project(n, mask)) == 0.0
     psi_n = project(d, mask) - st.x - st.e + st.lam / hp.mu
-    off = project(psi_n, mask, complement=True)
-    assert np.allclose(project(n, mask, complement=True), off, atol=1e-14)
+    off = psi_n - project(psi_n, mask)
+    assert np.allclose(n - project(n, mask), off, atol=1e-14)
 
 
 def test_update_n_half_ball_scales_by_half(rng):
@@ -192,30 +194,6 @@ def test_update_n_half_ball_scales_by_half(rng):
     hp = AdmmHyperParams(mu=0.7, delta=r / 2.0)
     n = update_n(st, project(d, mask), mask, hp, NUMPY)
     assert np.allclose(project(n, mask), 0.5 * project(psi_n, mask), atol=1e-12)
-
-
-def test_update_pq_identity_and_none(rng):
-    """solve_admm's prox_mode "identity" runs update_pq_classical and "none"
-    keeps P and Q; an unknown mode raises before any work, even on data that
-    would fail its own check."""
-    d, mask, hp = random_inputs(rng)
-    st = random_state(rng)
-    p, q = update_pq_classical(st, hp)
-    assert np.allclose(p, st.x + st.gam / hp.theta, atol=1e-14)
-    assert np.allclose(q, st.e + st.phi / hp.beta, atol=1e-14)
-    hp = replace(hp, max_iters=2, penalty_growth=1.0, tol=1e-300)
-    with pytest.raises(InvalidArgumentError, match="prox_mode"):
-        solve_admm(None, mask, hp, prox_mode="learned")
-    pd = project(d, mask)
-    ests = {}
-    for mode, step in (("identity", update_pq_classical), ("none", lambda st, h: (st.p, st.q))):
-        ref = AdmmState.initial(d, mask)
-        for _ in range(2):
-            ref = block_step(ref, pd, mask, hp, step, NUMPY)
-        res = solve_admm(d, mask, hp, prox_mode=mode)
-        assert np.array_equal(res.x, ref.x) and np.array_equal(res.e, ref.e)
-        ests[mode] = res.d_hat
-    assert not np.array_equal(ests["identity"], ests["none"])
 
 
 def test_update_pq_zero_multipliers(rng):
@@ -543,12 +521,26 @@ def test_smoothed_primal_residual_nonincreasing_sparse_regime(i):
     assert np.all(np.diff(smooth) <= 1e-12)
 
 
-def test_noise_ball_contract_enforced(rng):
+def test_noise_ball_contract_enforced(rng, monkeypatch):
     d = rng.random((24, 24, 2))
     mask = ObservationMask(rng.random((24, 24)) < 0.4)
     hp = AdmmHyperParams(delta=0.05, max_iters=60)
-    res = solve_admm(d, mask, hp, check_contracts=True)
+    norms = check_noise_ball(monkeypatch)
+    res = solve_admm(d, mask, hp)
+    assert len(norms) == len(res.history)
     assert fro_norm(project(res.n, mask)) <= hp.delta + 1e-12
+
+
+def test_noise_ball_check_sees_every_n_step(rng, monkeypatch):
+    """With the ball step disabled, the check wrapped on admm.update_n raises
+    at the first N step: the wrapper is the one solve_admm calls."""
+    d = rng.random((24, 24, 2))
+    mask = ObservationMask(rng.random((24, 24)) < 0.4)
+    monkeypatch.setattr(admm, "scale_to_ball", lambda x, radius: x)
+    norms = check_noise_ball(monkeypatch)
+    with pytest.raises(AssertionError, match="noise ball violated at N step 1:"):
+        solve_admm(d, mask, AdmmHyperParams(delta=0.05, max_iters=60))
+    assert len(norms) == 1 and norms[0] > 0.05 + 1e-12
 
 
 def test_solver_determinism():

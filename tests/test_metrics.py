@@ -33,12 +33,6 @@ def test_psnr_consistent_with_rmse(rng):
     assert psnr(est, truth) == pytest.approx(-20.0 * math.log10(rmse(est, truth)), abs=1e-9)
 
 
-def test_psnr_peak_scaling(rng):
-    est = rng.random((6, 6, 2))
-    truth = rng.random((6, 6, 2))
-    assert psnr(est, truth, peak=2.0) == pytest.approx(psnr(est, truth) + 20.0 * math.log10(2.0), abs=1e-9)
-
-
 def test_rmse_constant_offset(rng):
     truth = rng.random((7, 7, 2))
     assert rmse(truth + 0.1, truth) == pytest.approx(0.1, abs=1e-12)
@@ -64,8 +58,6 @@ def test_metric_validation(rng):
     t = rng.random((4, 4, 1))
     with pytest.raises(InvalidArgumentError):
         psnr(t, rng.random((4, 4, 2)))
-    with pytest.raises(InvalidArgumentError):
-        psnr(t, t, peak=0.0)
     with pytest.raises(InvalidArgumentError):
         outage_error(t, t, threshold=0.0)
     with pytest.raises(InvalidArgumentError):

@@ -59,6 +59,11 @@ def test_self_check_passes_for_every_solver(tracing):
     # perfbench's own self_check can only ask for a multiple of 3 here
     [solve] = run.of("admm.solve_halrtc")
     assert run.child_count(solve, "shrinkage.svt") == 3 * len(hal.history)
+    # solve_admm looks both steps up at every iteration; bound once, they would
+    # escape the tracer and the tests' contract patches alike
+    [solve] = run.of("admm.solve_admm")
+    assert run.child_count(solve, "admm.update_n") == len(res.history)
+    assert run.child_count(solve, "admm.update_pq_classical") == len(res.history)
     assert run.count["autodiff.svt"] == 3 * tracing.K_BLOCKS
 
 
