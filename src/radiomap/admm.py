@@ -115,12 +115,12 @@ class AdmmState:
     y: list
 
     @classmethod
-    def initial(cls, d: np.ndarray, mask: ObservationMask, leaf=lambda a: a) -> "AdmmState":
-        """Zero everything except x, which starts at the observed cells;
-        leaf wraps each starting array (ad.Node for the unrolled network)."""
-        zeros = lambda: leaf(np.zeros_like(d))
+    def initial(cls, pd: np.ndarray) -> "AdmmState":
+        """Start x at pd, the data projected onto the observed cells, and
+        zero everything else."""
+        zeros = lambda: np.zeros_like(pd)
         return cls(
-            x=leaf(project(d, mask)), e=zeros(), n=zeros(), p=zeros(), q=zeros(),
+            x=pd, e=zeros(), n=zeros(), p=zeros(), q=zeros(),
             lam=zeros(), gam=zeros(), phi=zeros(), y=[zeros() for _ in MODES],
         )
 
@@ -249,7 +249,7 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None) -> A
     # in a plain copy: replace() would re-run that check on the grown mu
     # against the whole max_iters and fail an uncapped solve part-way
     hp = SimpleNamespace(**vars(hp))
-    state = AdmmState.initial(d, mask)
+    state = AdmmState.initial(pd)
 
     def step():
         nonlocal state

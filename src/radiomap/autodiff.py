@@ -6,7 +6,7 @@ two shrinkage operators, unfold/fold, masked projection, the noise-ball
 rescaling, and the two training losses. Anything else is a deliberate
 build-time error; there is no general broadcasting.
 
-conv2d takes an optional bias and ReLU and applies them in place to its
+conv2d takes a bias and an optional ReLU and applies them in place to its
 own output, so one mapper layer is one node; bias_add and relu remain as
 separate ops. conv2d writes its output into the interior of a zero-bordered
 buffer kept in Node.padded, and the next conv2d with the same kernel reads
@@ -30,11 +30,15 @@ parents' vertices and the arrays its backward reads (a parent's value, a
 mask, singular vectors), never a Node. So a forward value lives only while
 forward code holds its Node or a closure has captured the array, and Python
 frees it as soon as neither does; the root keeps the vertices and closures
-alive. A factor of smul that is not a Node, as in Node * 2.0 or Node / rho,
-is a constant: it has no vertex and gets no gradient, and its closure keeps
-no reference to the tensor. Graph construction can be switched off with
-no_grad(), which shares the forward kernels but builds no graph, so
-inference costs no graph memory.
+alive.
+
+Constants. Node(value) is a leaf: a vertex of its own, and a gradient. An
+operand that is not a Node is a constant, and so is the output of an op
+whose operands are all constants, or of any op under no_grad(). Constants
+share one vertex, _CONST, that no op lists as a parent and nothing writes
+to, so they never get a gradient, and smul keeps no reference to the tensor
+of a constant factor. no_grad() shares the forward kernels but builds no
+graph, so inference costs no graph memory.
 
 Gradients accumulate into the vertices during backward(). Only leaves keep
 theirs: an interior vertex's gradient is dropped as soon as its closure has
@@ -74,7 +78,8 @@ def no_grad():
 
 class Vertex:
     """What backward reads of one node: its parents' vertices, its backward
-    closure (None on a leaf) and its gradient. It holds no forward value."""
+    closure (None on a leaf and on _CONST) and its gradient. It holds no
+    forward value."""
 
     __slots__ = ("parents", "backward", "grad")
 
@@ -84,19 +89,28 @@ class Vertex:
         self.grad = None
 
 
+# the vertex every constant shares: no parents, no closure, never a grad
+_CONST = Vertex()
+
+
 class Node:
-    """One forward value and its graph vertex. Leaves are created directly;
-    an op passes its parents' vertices and its backward closure."""
+    """One forward value and its graph vertex. A leaf is created directly,
+    with parents None; an op passes its operands' vertices and its backward
+    closure, and builds a constant when none of them is in the graph."""
 
     __slots__ = ("value", "padded", "vertex")
     # an ndarray on the left of an operator defers to the reflected method
     # below instead of building an object array
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value, parents=None, backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.padded = None  # set by conv2d only: the zero-bordered buffer value lies in
-        self.vertex = Vertex(tuple(parents), backward) if _grad_enabled else Vertex()
+        if parents is None:
+            self.vertex = Vertex()
+        else:
+            parents = tuple(p for p in parents if p is not _CONST) if _grad_enabled else ()
+            self.vertex = Vertex(parents, backward) if parents else _CONST
 
     @property
     def grad(self):
@@ -123,9 +137,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __repr__(self):
-        return f"Node(shape={self.value.shape}, leaf={self._backward is None})"
-
     def __add__(self, other):
         return add(self, other)
 
@@ -145,20 +156,25 @@ class Node:
         return _mul(other, self)
 
     def __truediv__(self, other):
-        if isinstance(other, Node):
-            return smul(recip(other), self)
-        return smul(1.0 / np.asarray(other, dtype=np.float64), self)
+        return smul(recip(other), self)
+
+    def __rtruediv__(self, other):
+        return smul(recip(self), other)
 
 
 def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x)
+    """x itself if it is a Node, else x as a constant."""
+    return x if isinstance(x, Node) else Node(x, ())
 
 
-def _acc(v: Vertex, g: np.ndarray) -> None:
+def _acc(v: Vertex, g: np.ndarray, copy: bool = True) -> None:
     # the first gradient is copied, not zero-filled and added to: one g is
-    # often handed to several parents, and later sums go into grad in place
+    # often handed to several parents, and later sums go into grad in place.
+    # copy=False keeps a first g that nothing else references as it is
+    if v is _CONST:
+        return
     if v.grad is None:
-        v.grad = np.array(g, dtype=np.float64)
+        v.grad = np.array(g, dtype=np.float64) if copy else g
     else:
         v.grad += g
 
@@ -187,6 +203,8 @@ def backward(root: Node) -> None:
     """
     if root.value.ndim != 0:
         raise InvalidArgumentError(f"backward root must be scalar, got shape {root.value.shape}")
+    if root.vertex is _CONST:
+        return  # no leaf reaches a constant
     order: list[Vertex] = []
     seen: set[int] = set()
     stack: list[tuple[Vertex, bool]] = [(root.vertex, False)]
@@ -243,37 +261,24 @@ def sub(a, b) -> Node:
 def smul(s, t) -> Node:
     """Scalar times tensor (the only broadcast the engine allows).
 
-    A scalar that is not a Node (a number or a 0-d array) is a constant: it
-    gets no gradient, so the closure keeps no reference to the tensor."""
-    t = as_node(t)
-    vt = t.vertex
-    if not isinstance(s, Node):
-        sv = np.asarray(s, dtype=np.float64)
-        if sv.ndim != 0:
-            raise InvalidArgumentError(f"smul expects a 0-d scalar, got shape {sv.shape}")
-
-        def bw(g):
-            _acc(vt, sv * g)
-
-        return Node(sv * t.value, (vt,), bw)
+    Only the scalar's gradient reads the tensor, so the closure of a
+    constant scalar (Node * 2.0, Node / rho) keeps no reference to it."""
+    s, t = as_node(s), as_node(t)
     _scalar(s, "smul")
-    sv, tv, vs = s.value, t.value, s.vertex
+    sv, vs, vt = s.value, s.vertex, t.vertex
+    tv = None if vs is _CONST else t.value
 
     def bw(g):
         _acc(vt, sv * g)
-        _acc(vs, np.asarray(np.sum(g * tv)))
+        if tv is not None:
+            _acc(vs, np.asarray(np.sum(g * tv)))
 
-    return Node(sv * tv, (vs, vt), bw)
+    return Node(sv * t.value, (vs, vt), bw)
 
 
 def _mul(a, b) -> Node:
-    """a * b with one 0-d factor: a 0-d factor that is not a Node is smul's
-    constant; otherwise the scalar is b when b is 0-d, else a."""
-    if not isinstance(a, Node) and np.ndim(a) == 0:
-        return smul(a, b)
-    if np.ndim(b.value if isinstance(b, Node) else b) == 0:
-        return smul(b, a)
-    return smul(a, b)
+    """a * b with one 0-d factor: the scalar is b when b is 0-d, else a."""
+    return smul(b, a) if np.ndim(b.value if isinstance(b, Node) else b) == 0 else smul(a, b)
 
 
 def recip(s) -> Node:
@@ -342,9 +347,9 @@ def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
             f"(F-contiguous: {c.flags.f_contiguous})")
 
 
-def conv2d(x, w, b=None, relu: bool = False) -> Node:
-    """Same-padding stride-1 convolution of an (h, w, c_in) map, with an
-    optional bias and ReLU applied to its output in the same node.
+def conv2d(x, w, b, relu: bool = False) -> Node:
+    """Same-padding stride-1 convolution of an (h, w, c_in) map, with a bias
+    and an optional ReLU applied to its output in the same node.
 
     Kernel layout (kh, kw, c_in, c_out), odd kh and kw; b is (c_out,). The
     input is zero-padded to (h + kh, w + kw - 1, c_in), one spare row past the
@@ -384,7 +389,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
 
     The epilogue runs in place on the accumulator after the last tap: the
     bias as one row add over (h, wp*c_out), then np.maximum(out, 0, out=out),
-    so the value equals relu(bias_add(conv2d(x, w), b)) bit for bit. The
+    so the value equals relu(bias_add(conv2d(x, w, zeros), b)) bit for bit. The
     backward masks g once by the ReLU pattern (value > 0) and sums the masked
     gradient for db.
 
@@ -407,7 +412,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
     zero-filling a fresh gx. Every gradient receives the same adds in the
     same order either way.
     """
-    x, w = as_node(x), as_node(w)
+    x, w, b = as_node(x), as_node(w), as_node(b)
     if x.value.ndim != 3 or w.value.ndim != 4:
         raise InvalidArgumentError(
             f"conv2d expects (h,w,c_in) and (kh,kw,c_in,c_out), got {x.value.shape} and {w.value.shape}"
@@ -418,10 +423,8 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
         raise InvalidArgumentError(f"kernel c_in {wci} does not match input channels {ci}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise InvalidArgumentError(f"kernel dims must be odd, got {kh}x{kw}")
-    if b is not None:
-        b = as_node(b)
-        if b.value.shape != (co,):
-            raise InvalidArgumentError(f"conv2d bias must be ({co},), got {b.value.shape}")
+    if b.value.shape != (co,):
+        raise InvalidArgumentError(f"conv2d bias must be ({co},), got {b.value.shape}")
     wv = w.value
     ph, pw = kh // 2, kw // 2
     hpad, wp = h + 2 * ph + 1, wd + 2 * pw
@@ -442,9 +445,8 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
             for dx in range(kw):
                 o = dy * wp + dx
                 _gemm_acc(wv[dy, dx].T, flat[o + r0:o + r1].T, out_t[:, r0:r1])
-    if b is not None:
-        rows = out.reshape(h, wp * co)
-        rows += np.tile(b.value, wp)
+    rows = out.reshape(h, wp * co)
+    rows += np.tile(b.value, wp)
     if relu:
         np.maximum(out, 0.0, out=out)
     out.reshape(h, wp, co)[:, wd:] = 0.0
@@ -452,8 +454,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
     # only the ReLU mask reads the value: a closure naming value would keep
     # the buffer alive through the backward for a layer without ReLU too
     relu_value = value if relu else None
-    vx, vw = x.vertex, w.vertex
-    vb = None if b is None else b.vertex
+    vx, vw, vb = x.vertex, w.vertex, b.vertex
 
     def bw(g):
         base = g.base
@@ -471,8 +472,7 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
                 np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
             else:
                 gx[:, :wd] = g
-        if vb is not None:
-            _acc(vb, gx[:, :wd].sum(axis=(0, 1)))
+        _acc(vb, gx[:, :wd].sum(axis=(0, 1)))
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
         dw = np.empty((len(blocks),) + wv.shape)
@@ -488,13 +488,10 @@ def conv2d(x, w, b=None, relu: bool = False) -> Node:
                     if lo < hi:
                         _gemm_acc(wv[dy, dx], gx[lo - o:hi - o].T, dflat[lo:hi].T)
         dx_in = dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd]
-        if handover and vx.grad is None:
-            vx.grad = dx_in  # no other reference to dflat: no copy needed
-        else:
-            _acc(vx, dx_in)
+        _acc(vx, dx_in, copy=not handover)  # handed over, nothing else references dflat
         _acc(vw, dw.sum(axis=0))
 
-    node = Node(value, (vx, vw) if vb is None else (vx, vw, vb), bw)
+    node = Node(value, (vx, vw, vb), bw)
     node.padded = buf
     return node
 
@@ -611,9 +608,7 @@ def scale_to_ball(x, radius) -> Node:
     x, radius = as_node(x), as_node(radius)
     _scalar(radius, "scale_to_ball")
     r = float(radius.value)
-    if not np.isfinite(r) or r < 0:
-        raise InvalidArgumentError(f"radius must be finite and >= 0, got {r}")
-    out = _scale_to_ball(x.value, r)
+    out = _scale_to_ball(x.value, r)  # checks r
     nrm = float(np.linalg.norm(x.value.ravel()))
     vx, vr = x.vertex, radius.vertex
     if nrm <= r:

@@ -127,6 +127,10 @@ def _shrink(t: np.ndarray, tau: float) -> np.ndarray:
 
 
 def scale_to_ball(x: np.ndarray, radius) -> np.ndarray:
-    """Rescale x onto the Frobenius ball of the given radius if it lies outside."""
+    """Rescale x onto the Frobenius ball of the given radius if it lies
+    outside; an infinite radius is no ball."""
+    radius = float(radius)
+    if not radius >= 0:  # written so that NaN fails too
+        raise InvalidArgumentError(f"radius must be >= 0, got {radius}")
     r = float(np.linalg.norm(x.ravel()))
     return (1.0 if r == 0.0 else min(radius / r, 1.0)) * x

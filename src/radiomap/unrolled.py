@@ -182,7 +182,8 @@ def _learned_pq(model: UnrolledModel, blk: BlockParams):
 
 
 def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
-    """Run all blocks; returns the estimate D_hat = X + E as a Node.
+    """Run all blocks; returns the estimate D_hat = X + E as a Node. pd and
+    the starting state are plain arrays, constants to the graph (see autodiff).
 
     The inputs are checked first, so a bad argument inside a block is a
     computed value (an overflowed scalar, say): a NumericalFailureError.
@@ -196,8 +197,7 @@ def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
     d, pd = observed(d, mask)
     if d.shape[2] != model.k_bands:
         raise InvalidArgumentError(f"model expects {model.k_bands} bands, got {d.shape[2]}")
-    pd = ad.Node(pd)
-    state = admm.AdmmState.initial(d, mask, leaf=ad.Node)
+    state = admm.AdmmState.initial(pd)
     for k, blk in enumerate(model.blocks):
         with reraise(NumericalFailureError, f"block {k}"):
             state = admm.block_step(state, pd, mask, _block_hp(model, blk),

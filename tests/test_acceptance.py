@@ -208,7 +208,7 @@ def test_05_finite_difference_agreement_all_ops():
         k_w = rng.normal(size=(3, 3, 2, 2)) * 0.5
         bias = rng.normal(size=2)
         red_im = loss_against(rng.normal(size=(4, 4, 2)))
-        track("conv2d", fd_check(lambda xn, wn: red_im(ad.conv2d(xn, wn)),
+        track("conv2d", fd_check(lambda xn, wn: red_im(ad.conv2d(xn, wn, np.zeros(2))),
                                  [x_im, k_w], assert_ok=False))
         track("bias_add", fd_check(lambda xn, bn: red_im(ad.bias_add(xn, bn)),
                                    [x_im, bias], assert_ok=False))

@@ -40,13 +40,18 @@ def random_inputs(rng, dims=(6, 5, 3)):
 def test_state_holds_only_what_the_next_step_reads(rng):
     """The unfolding auxiliaries m are recomputed at each step before they are
     read, so the state one step (or one unrolled block) hands the next is the
-    eight tensors and the three y multipliers: 11 arrays."""
+    eight tensors and the three y multipliers: 11 arrays. The first step
+    starts from x = pd and ten distinct zero arrays."""
     assert [f.name for f in fields(AdmmState)] == \
         ["x", "e", "n", "p", "q", "lam", "gam", "phi", "y"]
     d, mask, _ = random_inputs(rng)
-    made = []
-    st = AdmmState.initial(d, mask, leaf=lambda a: made.append(a) or a)
-    assert len(made) == 11 and len(st.y) == len(MODES)
+    pd = project(d, mask)
+    st = AdmmState.initial(pd)
+    arrays = [getattr(st, f.name) for f in fields(AdmmState)[:-1]] + st.y
+    assert len(arrays) == 11 and len(st.y) == len(MODES)
+    assert len({id(a) for a in arrays}) == 11
+    assert st.x is pd
+    assert all(a.shape == pd.shape and not a.any() for a in arrays[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +59,7 @@ def test_state_holds_only_what_the_next_step_reads(rng):
 
 def test_psi_x_zero_state_formula(rng):
     d, mask, hp = random_inputs(rng)
-    st = AdmmState.initial(d, mask)
+    st = AdmmState.initial(project(d, mask))
     st.x = np.zeros_like(d)
     expect = hp.mu * project(d, mask) / (hp.mu + hp.theta)
     assert np.allclose(psi_x(st, project(d, mask), hp), expect, atol=1e-14)
@@ -63,7 +68,7 @@ def test_psi_x_zero_state_formula(rng):
 def test_psi_x_unit_penalties(rng):
     d, mask, _ = random_inputs(rng)
     hp = AdmmHyperParams(mu=1.0, theta=1.0)
-    st = AdmmState.initial(d, mask)
+    st = AdmmState.initial(project(d, mask))
     st.x = np.zeros_like(d)
     assert np.allclose(psi_x(st, project(d, mask), hp), project(d, mask) / 2.0, atol=1e-14)
 

@@ -61,7 +61,7 @@ def test_operators_match_explicit_ops(rng):
     fd_check(lambda x, y, k: red(with_operators(x, y, k)), [a, b, s])
     nodes = [ad.Node(v) for v in (a, b, s)]
     assert np.array_equal(with_operators(*nodes).value, with_ops(*nodes).value)
-    # a plain number becomes a constant leaf; the scalar may sit on either side
+    # a plain number is a constant; the scalar may sit on either side
     x = ad.Node(a)
     assert np.array_equal((x * 2.0).value, (2.0 * x).value)
     assert np.array_equal((x / 4.0).value, a * 0.25)
@@ -109,7 +109,7 @@ def test_grad_conv2d(rng):
     x = rng.normal(size=(5, 5, 2))
     w = rng.normal(size=(3, 3, 2, 3)) * 0.5
     red = loss_against(rng.normal(size=(5, 5, 3)))
-    fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
+    fd_check(lambda xn, wn: red(ad.conv2d(xn, wn, np.zeros(3))), [x, w])
 
 
 def conv2d_reference(x, w):
@@ -137,17 +137,17 @@ def test_conv2d_edge_shapes_match_direct_loops(rng, hw, kernel):
     past the buffer: thin maps, maps smaller than the kernel, non-square kernels."""
     x = rng.normal(size=hw + (2,))
     w = rng.normal(size=kernel + (2, 3)) * 0.5
-    out = ad.conv2d(ad.Node(x), ad.Node(w)).value
+    out = ad.conv2d(ad.Node(x), ad.Node(w), np.zeros(3)).value
     assert out.shape == hw + (3,)
     assert np.allclose(out, conv2d_reference(x, w), rtol=0.0, atol=1e-12)
     red = loss_against(rng.normal(size=hw + (3,)))
-    fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
+    fd_check(lambda xn, wn: red(ad.conv2d(xn, wn, np.zeros(3))), [x, w])
 
 
 def test_conv2d_one_by_one_identity(rng):
     x = rng.normal(size=(6, 5, 3))
     w = np.eye(3).reshape(1, 1, 3, 3)
-    out = ad.conv2d(ad.Node(x), ad.Node(w))
+    out = ad.conv2d(ad.Node(x), ad.Node(w), np.zeros(3))
     assert np.allclose(out.value, x, atol=1e-14)
 
 
@@ -163,11 +163,11 @@ def test_conv2d_non_contiguous_values_are_read_not_written(rng):
         assert not x.flags.c_contiguous and not w.flags.c_contiguous
         x0, w0 = x.copy(), w.copy()
         xn, wn = ad.Node(x), ad.Node(w)
-        out = ad.conv2d(xn, wn)
+        out = ad.conv2d(xn, wn, np.zeros(3))
         assert np.allclose(out.value, conv2d_reference(x0, w0), rtol=0.0, atol=1e-12)
         ad.backward(red(out))
         assert np.array_equal(xn.value, x0) and np.array_equal(wn.value, w0)
-        fd_check(lambda xn, wn: red(ad.conv2d(xn, wn)), [x, w])
+        fd_check(lambda xn, wn: red(ad.conv2d(xn, wn, np.zeros(3))), [x, w])
 
 
 def test_grad_conv2d_input_shared_by_two_convs(rng):
@@ -175,7 +175,8 @@ def test_grad_conv2d_input_shared_by_two_convs(rng):
     w1 = rng.normal(size=(3, 3, 2, 3)) * 0.5
     w2 = rng.normal(size=(1, 3, 2, 3)) * 0.5
     red = loss_against(rng.normal(size=(5, 6, 3)))
-    fd_check(lambda xn, an, bn: red(ad.add(ad.conv2d(xn, an), ad.conv2d(xn, bn))), [x, w1, w2])
+    fd_check(lambda xn, an, bn: red(ad.add(ad.conv2d(xn, an, np.zeros(3)),
+                                           ad.conv2d(xn, bn, np.zeros(3)))), [x, w1, w2])
 
 
 def test_conv2d_raises_when_blas_accumulates_into_a_copy(rng, monkeypatch):
@@ -186,7 +187,7 @@ def test_conv2d_raises_when_blas_accumulates_into_a_copy(rng, monkeypatch):
                         dgemm(alpha, a, b, beta, np.ascontiguousarray(c), overwrite_c=overwrite_c))
     x, w = ad.Node(rng.normal(size=(4, 5, 2))), ad.Node(rng.normal(size=(3, 3, 2, 3)))
     with pytest.raises(NumericalFailureError, match="in place"):
-        ad.conv2d(x, w)
+        ad.conv2d(x, w, np.zeros(3))
     with pytest.raises(NumericalFailureError, match="in place"):
         ad.conv2d(x, w, ad.Node(rng.normal(size=(3,))), relu=True)
 
@@ -206,7 +207,7 @@ def test_conv2d_epilogue_matches_separate_ops(rng, hw, kernel, ci, co):
         fused = [ad.Node(v) for v in (x, w, b)]
         split = [ad.Node(v) for v in (x, w, b)]
         out = ad.conv2d(*fused, relu=relu)
-        ref = ad.bias_add(ad.conv2d(split[0], split[1]), split[2])
+        ref = ad.bias_add(ad.conv2d(split[0], split[1], np.zeros(co)), split[2])
         if relu:
             ref = ad.relu(ref)
         assert np.array_equal(out.value, ref.value)
@@ -307,13 +308,14 @@ def test_conv2d_uses_carried_buffer_only_for_its_own_padding(rng):
     w5 = ad.Node(rng.normal(size=(5, 5, 2, 2)))
     w13 = ad.Node(rng.normal(size=(1, 3, 2, 2)))
     copy = ad.Node(y.value.copy())
-    ref = {k: ad.conv2d(copy, wn).value for k, wn in (("3", w3), ("5", w5), ("1x3", w13))}
-    assert np.array_equal(ad.conv2d(y, w3).value, ref["3"])
+    ref = {k: ad.conv2d(copy, wn, np.zeros(2)).value
+           for k, wn in (("3", w3), ("5", w5), ("1x3", w13))}
+    assert np.array_equal(ad.conv2d(y, w3, np.zeros(2)).value, ref["3"])
     y.padded[0, 0, :] = 1.0  # a corner pad cell, read by the top-left output
-    assert not np.array_equal(ad.conv2d(y, w3).value, ref["3"])
-    assert np.array_equal(ad.conv2d(y, w5).value, ref["5"])
-    assert np.array_equal(ad.conv2d(y, w13).value, ref["1x3"])
-    assert np.array_equal(ad.conv2d(ad.relu(y), w3).value, ref["3"])
+    assert not np.array_equal(ad.conv2d(y, w3, np.zeros(2)).value, ref["3"])
+    assert np.array_equal(ad.conv2d(y, w5, np.zeros(2)).value, ref["5"])
+    assert np.array_equal(ad.conv2d(y, w13, np.zeros(2)).value, ref["1x3"])
+    assert np.array_equal(ad.conv2d(ad.relu(y), w3, np.zeros(2)).value, ref["3"])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def test_conv2d_one_block_layer_is_bitwise_the_unblocked_loop(rng, monkeypatch, 
     w = rng.normal(size=(3, 3, ci, co)) * 0.3
     g = rng.normal(size=hw + (co,))
     xn, wn = ad.Node(x), ad.Node(w)
-    y = ad.conv2d(xn, wn)
+    y = ad.conv2d(xn, wn, np.zeros(co))
     y._backward(g)
     for got, ref in zip((y.value, xn.grad, wn.grad), unblocked_conv2d(x, w, g)):
         assert np.array_equal(got, ref)
@@ -626,7 +628,7 @@ def test_grad_deep_composition(rng):
     c = rng.normal(size=DIMS)
 
     def build(xn, wn, bn, sn):
-        y = ad.relu(ad.bias_add(ad.conv2d(xn, wn), bn))
+        y = ad.relu(ad.bias_add(ad.conv2d(xn, wn, np.zeros(2)), bn))
         y = ad.smul(ad.exp(sn), y)
         y = ad.project(y, mask)
         y = ad.scale_to_ball(y, ad.Node(np.asarray(1.5)))
@@ -666,7 +668,7 @@ def test_backward_keeps_gradients_only_on_leaves(rng):
 
     def build(xn, wn, bn, sn):
         consts[:] = [ad.Node(np.asarray(1e3)), ad.Node(c)]
-        y = ad.bias_add(ad.conv2d(xn, wn), bn)
+        y = ad.bias_add(ad.conv2d(xn, wn, np.zeros(2)), bn)
         # tau above ||y||_F: the svt keeps no rank, as nearly all of them do in
         # training, and its fixed-pattern gradient (zero) is then exact
         m = ad.svt(ad.unfold(y, 1), consts[0])
@@ -716,7 +718,7 @@ def closure_cases(rng):
         "conv2d-bias-no-relu": (lambda xn, wn, bn: ad.mse_loss(ad.conv2d(xn, wn, bn), c),
                                 [x, rng.normal(size=(3, 3, 2, 2)), np.array([0.1, -0.2])]),
         "conv2d-bias-relu": (lambda xn, wn: ad.mse_loss(
-            ad.relu(ad.bias_add(ad.conv2d(xn, wn), np.full(2, 0.1))), c[:, :, :2]),
+            ad.relu(ad.bias_add(ad.conv2d(xn, wn, np.zeros(2)), np.full(2, 0.1))), c[:, :, :2]),
             [x, rng.normal(size=(3, 3, 2, 2))]),
         "soft-threshold": (lambda xn, tn: ad.mse_loss(ad.soft_threshold(xn, tn), c),
                            [soft_input(rng), np.asarray(0.3)]),
@@ -799,6 +801,33 @@ def test_plain_number_factor_is_a_constant(rng):
         ad.smul(np.ones(2), t)
 
 
+def test_plain_operands_and_ops_on_them_are_constants(rng):
+    """An operand that is not a Node is a constant, and so is an op whose
+    operands are all constants: it has no vertex of its own, no op lists it
+    as a parent, and backward writes no gradient to it, neither from a
+    constant root nor where a constant conv hands its buffer to a conv with
+    a learnable kernel."""
+    x, c = rng.normal(size=DIMS), rng.normal(size=DIMS)
+    w, b = rng.normal(size=(3, 3, 2, 2)) * 0.3, np.zeros(2)
+    y = ad.conv2d(ad.conv2d(x, w, b, relu=True), w, b)
+    m = ad.svt(ad.unfold(y, 1), 0.1)
+    consts = [y, m, ad.smul(2.0, x), x / ad.exp(0.5)]
+    root = ad.mse_loss(ad.add(ad.fold(m, 1, DIMS), consts[2] + consts[3]), c)
+    consts.append(root)
+    for n in consts:
+        assert n.parents == () and n._backward is None
+    assert len({id(n.vertex) for n in consts}) == 1
+    ad.backward(root)
+    wn = ad.Node(w)
+    z = ad.conv2d(y, wn, b)
+    assert z.parents == (wn.vertex,)
+    loss = ad.mse_loss(z, c)
+    ad.backward(loss)
+    assert [v for v in vertices([loss]) if v.backward is None] == [wn.vertex]
+    assert wn.grad is not None
+    assert all(n.grad is None for n in consts)
+
+
 def test_conv2d_hands_the_input_gradient_over_in_the_padded_layout(rng, monkeypatch):
     """A conv that read its input's buffer stores its dflat's interior as
     that input's first gradient, with no crop copy; the producing conv then
@@ -864,9 +893,9 @@ def test_op_validation(rng):
     with pytest.raises(InvalidArgumentError):
         ad.smul(vec, a)
     with pytest.raises(InvalidArgumentError):
-        ad.conv2d(a, ad.Node(rng.normal(size=(2, 2, 2, 1))))
+        ad.conv2d(a, ad.Node(rng.normal(size=(2, 2, 2, 1))), np.zeros(1))
     with pytest.raises(InvalidArgumentError):
-        ad.conv2d(a, ad.Node(rng.normal(size=(3, 3, 5, 1))))
+        ad.conv2d(a, ad.Node(rng.normal(size=(3, 3, 5, 1))), np.zeros(1))
     with pytest.raises(InvalidArgumentError):
         ad.bias_add(a, vec)
     with pytest.raises(InvalidArgumentError, match="bias"):

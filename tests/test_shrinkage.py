@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from rank import numerical_rank
 
+import radiomap.autodiff as ad
 from radiomap import shrinkage
 from radiomap.errors import InvalidArgumentError
 from radiomap.shrinkage import GRAM_MAX_SPREAD, soft_threshold, svt
@@ -201,6 +202,24 @@ def test_threshold_validation(rng):
         svt(np.zeros((2, 2, 2)), 0.1)
     with pytest.raises(InvalidArgumentError):
         svt(np.full((2, 2), np.inf), 0.1)
+
+
+def test_scale_to_ball_radius_validation(rng):
+    """A negative or NaN radius is refused, not turned into a sign flip or
+    NaNs; an infinite radius is no ball, in the numpy kernel and the
+    autodiff op alike."""
+    x = rng.normal(size=(2, 2, 1))
+    for bad in (-1.0, np.nan):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            shrinkage.scale_to_ball(x, bad)
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            ad.scale_to_ball(ad.Node(x), ad.Node(np.asarray(bad)))
+    assert np.array_equal(shrinkage.scale_to_ball(x, np.inf), x)
+    xn, rn = ad.Node(x), ad.Node(np.asarray(np.inf))
+    out = ad.scale_to_ball(xn, rn)
+    assert np.array_equal(out.value, x)
+    ad.backward(ad.mse_loss(out, np.zeros_like(x)))
+    assert np.array_equal(xn.grad, x * (2.0 / x.size)) and rn.grad is None
 
 
 def test_numerical_rank(rng):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from contracts import zero_pq
-from lifetimes import alive_uncaptured, collect_built, value_refs
+from lifetimes import alive_uncaptured, collect_built, value_refs, vertices
 
 import radiomap.autodiff as ad
 import radiomap.shrinkage as shrinkage
@@ -138,9 +138,9 @@ def test_invalid_value_inside_a_block_is_a_numerical_failure(instance):
     inputs were valid, so forward reports the block, not a bad argument."""
     truth, mask = instance
     model = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=3, seed=0)
-    model.blocks[1].scalars[-1].value[...] = 1e3  # log_delta; its exp overflows
+    model.blocks[1].scalars[3].value[...] = 1e3  # log_lambda; its exp overflows
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericalFailureError, match="block 1: radius must be finite"):
+        with pytest.raises(NumericalFailureError, match="block 1: threshold must be finite"):
             infer(model, truth, mask)
 
 
@@ -354,10 +354,13 @@ def test_block_release_keeps_only_the_output_state(monkeypatch, instance):
         built = collect_built(monkeypatch)
         blocks, left = [], []
 
-        def tracked(state, *args):
+        def tracked(state, pd, *args):
             del built[:]  # the block's scalars, decoded before the call
-            out = block_step(state, *args)
-            blocks.append(value_refs(built))
+            out = block_step(state, pd, *args)
+            # a block's ops wrap the forward's inputs, pd and block 0's
+            # starting arrays, as constants without a copy: no block built them
+            inputs = [pd, *state_nodes(state)]
+            blocks.append(value_refs([n for n in built if not any(n.value is a for a in inputs)]))
             del built[:]
             if len(blocks) == 3:
                 gc.collect()
@@ -385,6 +388,27 @@ def test_block_release_keeps_only_the_output_state(monkeypatch, instance):
         assert all(r() is None for refs in blocks for r in refs)
 
 
+def test_training_step_graph_reaches_only_the_parameters(monkeypatch):
+    """In one training step of the default 64x64 model the leaves the loss
+    reaches are exactly the parameters that can receive gradient, and after
+    backward no other vertex holds a gradient: pd, the starting state, the
+    loss targets and the plain-number factors are constants, not vertices."""
+    spec = SceneSpec.random(64, 64, 3, n_transmitters=1, n_obstructions=30,
+                            obstruction_depth=15.0, seed=1)
+    d, mask = generate_scene(spec).ground_truth, sample_mask(64, 64, 10.0, seed=11)
+    model = UnrolledModel.create(seed=0)
+    params = model.params()
+    roots, backward = [], ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: roots.append(root) or backward(root))
+    unrolled._train_step(model, params, ad.AdamState.for_params(params), d, mask,
+                         ldpl_interpolate(d, mask).values, 1e-3, 0)
+    graph = vertices(roots)
+    live = {id(p.vertex) for p in model.live_params()}
+    assert {id(v) for v in graph if v.backward is None} == live
+    assert [v for v in graph if v.grad is not None and id(v) not in live] == []
+    assert all((p.grad is not None) == (id(p.vertex) in live) for p in params)
+
+
 def test_forward_after_a_failing_block_gives_the_same_gradients(instance):
     """A block that raises leaves nothing behind: the next forward of the
     healthy model gives the estimate and gradients of one before the
@@ -399,12 +423,12 @@ def test_forward_after_a_failing_block_gives_the_same_gradients(instance):
         return d_hat.value, [p.grad for p in model.live_params()]
 
     ref_value, ref_grads = step()
-    saved = model.blocks[1].scalars[-1].value.copy()
-    model.blocks[1].scalars[-1].value[...] = 1e3  # log_delta; its exp overflows
+    saved = model.blocks[1].scalars[3].value.copy()
+    model.blocks[1].scalars[3].value[...] = 1e3  # log_lambda; its exp overflows
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericalFailureError, match="block 1: radius must be finite"):
+        with pytest.raises(NumericalFailureError, match="block 1: threshold must be finite"):
             forward(model, truth, mask)
-    model.blocks[1].scalars[-1].value[...] = saved
+    model.blocks[1].scalars[3].value[...] = saved
     value, grads = step()
     assert np.array_equal(value, ref_value)
     assert np.array_equal(value, infer(model, truth, mask))
@@ -503,7 +527,7 @@ def reference_mapper(layers, spec, x):
     """The mapper written as separate conv2d, bias_add and relu nodes."""
     y = x
     for i, (wn, bn) in enumerate(layers):
-        y = ad.bias_add(ad.conv2d(y, wn), bn)
+        y = ad.bias_add(ad.conv2d(y, wn, np.zeros(bn.shape)), bn)
         if i < len(layers) - 1:
             y = ad.relu(y)
     return x + y if spec.residual else y
