@@ -306,20 +306,11 @@ def exp(s) -> Node:
 # ---------------------------------------------------------------------------
 # neural ops
 
-def _load_dgemm(*args, **kwargs):
-    """The first binding of _dgemm: on the first call takes dgemm from
-    scipy's BLAS wrapper module scipy.linalg._fblas (the function object
-    scipy.linalg.blas re-exports), loaded without the scipy.linalg package,
-    binds _dgemm to it (unless _dgemm was rebound meanwhile) and forwards
-    the call. So `import radiomap` loads no scipy."""
-    global _dgemm
-    dgemm = linalg_extension("_fblas").dgemm
-    if _dgemm is _load_dgemm:
-        _dgemm = dgemm
-    return dgemm(*args, **kwargs)
-
-
-_dgemm = _load_dgemm
+def _dgemm(*args, **kwargs):
+    """dgemm from scipy's BLAS wrapper module scipy.linalg._fblas (the
+    function object scipy.linalg.blas re-exports), loaded on the first call
+    without the scipy.linalg package. So `import radiomap` loads no scipy."""
+    return linalg_extension("_fblas").dgemm(*args, **kwargs)
 
 
 # conv2d splits a layer's flat rows into blocks of at most this many bytes,
@@ -679,21 +670,21 @@ class AdamState:
         )
 
 
-def adam_step(params, grads, state: AdamState, lr: float = 1e-3):
-    """One bias-corrected Adam update, in place on the parameter arrays, with
+def adam_step(params, state: AdamState, lr: float = 1e-3):
+    """One bias-corrected Adam update from each parameter's .grad, in place on
+    the parameter arrays; a parameter whose grad is None is left as it is.
     Kingma & Ba's constants: moment decays beta1 = 0.9 and beta2 = 0.999, and
     eps = 1e-8 added to the root of the second moment."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    arrs = [p.value for p in params]
-    if len(arrs) != len(grads) or len(arrs) != len(state.m):
+    if len(params) != len(state.m):
         raise InvalidArgumentError(
-            f"param/grad/state length mismatch: {len(arrs)}/{len(grads)}/{len(state.m)}"
-        )
+            f"param/state length mismatch: {len(params)}/{len(state.m)}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(arrs, grads, state.m, state.v):
+    for node, m, v in zip(params, state.m, state.v):
+        p, g = node.value, node.grad
         if g is None:
             continue
         if g.shape != p.shape:

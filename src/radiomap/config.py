@@ -17,15 +17,6 @@ from .unrolled import MapperSpec, TrainConfig
 METHODS = ("zero", "ldpl", "rbf", "halrtc", "admm", "unroll")
 
 
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
@@ -107,7 +98,6 @@ KEYS = {
     "unroll.seed": int,
     "unroll.hidden_channels": _ints,
     "unroll.kernel": int,
-    "unroll.residual": _bool,
     "sweep.sparsities": _nonempty(_floats),
     "sweep.seeds": _nonempty(_ints),
     "sweep.n_scenes": int,
@@ -193,7 +183,7 @@ def scene_kwargs(cfg: Config) -> dict:
 
 def mapper_spec(cfg: Config) -> MapperSpec:
     over = cfg.section("unroll")
-    kw = {k: over[k] for k in ("hidden_channels", "kernel", "residual") if k in over}
+    kw = {k: over[k] for k in ("hidden_channels", "kernel") if k in over}
     return _rebuild("unroll", lambda: MapperSpec(**kw))
 
 

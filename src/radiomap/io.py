@@ -3,9 +3,10 @@
 Three little-endian binary formats, each with a 4-byte magic:
   RMT1  tensor   header h,w,k (u32) + h*w*k float64, band fastest
   RMM1  mask     header h,w (u32) + h*w bytes in {0,1}
-  RMU1  model    versioned checkpoint: header, mapper descriptor, then every
-                 parameter in model.params() order (a 0-d one as one f64, any
-                 other as a u64 byte count + its f64 values), trailing CRC32
+  RMU1  model    versioned checkpoint: header, mapper descriptor (layer
+                 records, residual flag 1), then every parameter in
+                 model.params() order (a 0-d one as one f64, any other as a
+                 u64 byte count + its f64 values), trailing CRC32
 
 All writers go through an atomic temp-file + rename, so a crashed write never
 leaves a truncated artifact behind; the file gets the mode open() would give
@@ -159,7 +160,7 @@ def write_checkpoint(path: str, model) -> None:
     """Serialize an UnrolledModel; layout documented in the module docstring.
 
     Body: version, k_blocks, k_bands, alpha[3], rho, loss_omega, mapper
-    descriptor (layer records + residual flag), then each parameter in
+    descriptor (layer records + residual flag 1), then each parameter in
     model.params() order, a 0-d one as one f64 and any other as its u64 byte
     count and f64 values. CRC32 of everything before it closes the file.
     """
@@ -173,7 +174,7 @@ def write_checkpoint(path: str, model) -> None:
     out += struct.pack("<I", len(dims))
     for ci, co in dims:
         out += struct.pack("<IIII", spec.kernel, spec.kernel, ci, co)
-    out += struct.pack("<B", 1 if spec.residual else 0)
+    out += struct.pack("<B", 1)
     for p in model.params():
         blob = np.ascontiguousarray(p.value, dtype="<f8").tobytes()
         if p.value.ndim:
@@ -200,14 +201,14 @@ def read_checkpoint(path: str):
     n_layers = c.u32()
     layer_recs = [(c.u32(), c.u32(), c.u32(), c.u32()) for _ in range(n_layers)]
     residual = c.take(1)[0]
-    if residual not in (0, 1):
-        raise FormatError(f"{path}: bad residual flag {residual}")
+    if residual != 1:
+        raise FormatError(f"{path}: residual flag {residual} is not 1")
     if n_layers < 1:
         raise FormatError(f"{path}: mapper needs at least one layer")
     kernel = layer_recs[0][0]
     hidden = tuple(co for _, _, _, co in layer_recs[:-1])
     with reraise(FormatError, f"{path}: bad mapper descriptor"):
-        spec = MapperSpec(hidden_channels=hidden, kernel=kernel, residual=bool(residual))
+        spec = MapperSpec(hidden_channels=hidden, kernel=kernel)
     # one comparison covers the kernel sizes, the band mapping and the channel chain
     if layer_recs != [(kernel, kernel, ci, co) for ci, co in spec.layer_dims(k_bands)]:
         raise FormatError(f"{path}: layer records do not describe a {k_bands}-band mapper")

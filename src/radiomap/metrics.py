@@ -150,8 +150,9 @@ def sweep(methods: dict, scenes, sparsities, seeds,
     """
     scenes = [as_tensor(s) for s in scenes]
     for sp in sparsities:
-        if not 0.0 < sp <= 100.0:
-            raise InvalidArgumentError(f"sparsity percent must be in (0, 100], got {sp}")
+        # sample_mask's own checks on every grid, before any method runs
+        for h, w in {s.shape[:2] for s in scenes}:
+            sample_mask(h, w, sp, 0)
     for seed in seeds:
         check_seed(seed)
     _check_outage_threshold(outage_threshold)

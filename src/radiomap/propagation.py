@@ -45,7 +45,6 @@ class LdplParams:
 
     tx_row: int
     tx_col: int
-    p0: float = 0.0
     n_exp: float = 2.5
     d0: float = 1.0
     shadow_sigma: float = 0.0
@@ -66,14 +65,15 @@ class LdplParams:
 
 
 def ldpl_field(params: LdplParams, h: int, w: int) -> np.ndarray:
-    """Received power on an h x w grid: p0 - 10*n*log10(max(d, d0)/d0)."""
+    """Received power on an h x w grid in dB relative to the power at
+    distance d0: -10*n*log10(max(d, d0)/d0)."""
     if h < 1 or w < 1:
         raise InvalidArgumentError(f"grid must be at least 1x1, got {h}x{w}")
     rows = np.arange(h, dtype=np.float64)[:, None]
     cols = np.arange(w, dtype=np.float64)[None, :]
     d = np.hypot(rows - params.tx_row, cols - params.tx_col)
     d = np.maximum(d, params.d0)
-    return params.p0 - 10.0 * params.n_exp * np.log10(d / params.d0)
+    return -10.0 * params.n_exp * np.log10(d / params.d0)
 
 
 def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -223,13 +223,12 @@ def generate_scene(spec: SceneSpec) -> Scene:
     for f in fields[1:]:
         combined = np.maximum(combined, f)
 
-    # Per-band affine scaling of the loss below the strongest reference power.
-    # Rows of the band-mode unfolding stay in span{combined, ones}: rank <= 2.
-    p0_ref = max(tx.p0 for tx in spec.transmitters)
+    # Per-band scaling of the loss. Rows of the band-mode unfolding are
+    # multiples of combined, and the min-max normalization below adds ones:
+    # they stay in span{combined, ones}, rank <= 2.
     background = np.empty((h, w, k))
     for b in range(k):
-        s = 1.0 + BAND_LOSS_FACTOR * b
-        background[:, :, b] = (1.0 - s) * p0_ref + s * combined
+        background[:, :, b] = (1.0 + BAND_LOSS_FACTOR * b) * combined
 
     foreground = np.zeros((h, w, k))
     if spec.n_obstructions > 0:

@@ -32,7 +32,6 @@ class MapperSpec:
 
     hidden_channels: tuple = (16, 16)
     kernel: int = 3
-    residual: bool = True
 
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
@@ -150,18 +149,18 @@ def _init_mapper(rng, spec: MapperSpec, k_bands: int):
     dims, k = spec.layer_dims(k_bands), spec.kernel
     layers = []
     for i, (ci, co) in enumerate(dims):
-        # He init; the last layer near zero, for a near-zero output at init
+        # He init; the last layer near zero, so the mapper starts near the identity
         std = 1e-3 if i == len(dims) - 1 else math.sqrt(2.0 / (k * k * ci))
         layers.append((ad.Node(rng.normal(0.0, std, (k, k, ci, co))), ad.Node(np.zeros(co))))
     return layers
 
 
-def _apply_mapper(layers, spec: MapperSpec, x: ad.Node) -> ad.Node:
+def _apply_mapper(layers, x: ad.Node) -> ad.Node:
     y = x
     last = len(layers) - 1
     for i, (wn, bn) in enumerate(layers):
         y = ad.conv2d(y, wn, bn, relu=i < last)
-    return x + y if spec.residual else y
+    return x + y
 
 
 def _block_hp(model: UnrolledModel, blk: BlockParams) -> SimpleNamespace:
@@ -172,12 +171,11 @@ def _block_hp(model: UnrolledModel, blk: BlockParams) -> SimpleNamespace:
                            beta=beta, lam=lam, delta=delta)
 
 
-def _learned_pq(model: UnrolledModel, blk: BlockParams):
+def _learned_pq(blk: BlockParams):
     """P/Q step of one block: its mappers applied to the classical P/Q values."""
     def pq_step(state, hp):
         p, q = admm.update_pq_classical(state, hp)
-        return (_apply_mapper(blk.v_layers, model.mapper_spec, p),
-                _apply_mapper(blk.w_layers, model.mapper_spec, q))
+        return _apply_mapper(blk.v_layers, p), _apply_mapper(blk.w_layers, q)
     return pq_step
 
 
@@ -201,7 +199,7 @@ def forward(model: UnrolledModel, d, mask: ObservationMask) -> ad.Node:
     for k, blk in enumerate(model.blocks):
         with reraise(NumericalFailureError, f"block {k}"):
             state = admm.block_step(state, pd, mask, _block_hp(model, blk),
-                                    _learned_pq(model, blk), ad)
+                                    _learned_pq(blk), ad)
         # E too: a non-finite Q from block k-1 reaches E in block k while X
         # stays finite, and d_hat = X + E
         for name, v in (("X", state.x), ("E", state.e)):
@@ -241,7 +239,7 @@ def _train_step(model: UnrolledModel, params, state: ad.AdamState, d, mask,
             f"{[b.decoded_scalars() for b in model.blocks]}")
     ad.zero_grads(params)
     ad.backward(step_loss)
-    ad.adam_step(params, [p.grad for p in params], state, lr=lr)
+    ad.adam_step(params, state, lr=lr)
     return lv
 
 

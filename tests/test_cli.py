@@ -1,6 +1,9 @@
 """End-to-end command line runs, in process, exercising every subcommand
 and the exit code taxonomy."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -512,6 +515,24 @@ def test_exit_3_on_corrupt_files(tmp_path, capsys):
     trunc.write_bytes(t.read_bytes()[:-4])
     assert run("export", "--tensor", trunc, "--band", 0, "--format", "csv",
                "--out", tmp_path / "x.csv") == 3
+    capsys.readouterr()
+
+    # a checkpoint whose residual flag is 0, with a valid CRC: every mapper
+    # adds its input to its output, so the reader refuses the file
+    model = UnrolledModel.create(h=8, w=8, k_bands=1, k_blocks=1)
+    ckpt = tmp_path / "flag0.rmu"
+    rio.write_checkpoint(ckpt, model)
+    body = bytearray(ckpt.read_bytes()[:-4])
+    flag = 60 + 16 * len(model.mapper_spec.layer_dims(1))  # after the layer records
+    assert body[flag] == 1
+    body[flag] = 0
+    ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+    m = tmp_path / "m.rmm"
+    rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
+    assert run("solve", "--method", "unroll", "--tensor", t, "--mask", m, "--model", ckpt,
+               "--out", tmp_path / "x.rmt") == 3
+    assert "residual flag 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.rmt").exists()
 
 
 @pytest.mark.parametrize("k_blocks", [2, 3])
@@ -535,10 +556,12 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
     rio.write_mask(m, sample_mask(8, 8, 50.0, seed=0))
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus.key=1\n")
-    assert run("solve", "--method", "admm", "--tensor", t, "--mask", m,
-               "--config", bad, "--out", tmp_path / "x.rmt") == 5
-    assert capsys.readouterr().err.startswith("config-error:")
+    # every mapper is residual, so unroll.residual is no key at all
+    for line in ("bogus.key=1", "unroll.residual=true"):
+        bad.write_text(line + "\n")
+        assert run("solve", "--method", "admm", "--tensor", t, "--mask", m,
+                   "--config", bad, "--out", tmp_path / "x.rmt") == 5, line
+        assert capsys.readouterr().err.startswith("config-error: unknown key"), line
 
     for method, line in (("admm", "admm.mu=-3"), ("halrtc", "halrtc.rho=0"),
                          ("halrtc", "halrtc.max_iters=0"), ("halrtc", "halrtc.tol=-1"),
@@ -553,6 +576,7 @@ def test_exit_5_on_config_errors(tmp_path, capsys):
                          ("halrtc", "halrtc.tol=inf"), ("admm", "admm.rho=inf"),
                          ("admm", "admm.lambda=inf"), ("admm", "admm.delta=nan"),
                          ("admm", "admm.penalty_growth=nan"), ("admm", "admm.penalty_cap=nan"),
+                         ("admm", "admm.penalty_cap=inf"),
                          ("admm", "admm.penalty_growth=inf\nadmm.penalty_cap=inf\n"
                                   "admm.max_iters=50"),
                          ("admm", "admm.penalty_growth=1e300\nadmm.penalty_cap=inf\n"

@@ -83,13 +83,6 @@ def test_empty_sweep_axis_is_a_config_error():
     assert parse_config("unroll.hidden_channels=\n").get("unroll.hidden_channels") == ()
 
 
-def test_bool_values():
-    assert parse_config("unroll.residual=off\n").get("unroll.residual") is False
-    assert parse_config("unroll.residual=YES\n").get("unroll.residual") is True
-    with pytest.raises(ConfigError):
-        parse_config("unroll.residual=maybe\n")
-
-
 def test_domain_violation_surfaces_as_config_error():
     with pytest.raises(ConfigError, match="bad admm config"):
         admm_params(parse_config("admm.mu=-1.0\n"))

@@ -245,14 +245,15 @@ def _bump_blob_length(body):
     lambda body: struct.pack_into("<II", body, REC0, 5, 5),
     lambda body: struct.pack_into("<I", body, REC0 + 8, 3),
     lambda body: struct.pack_into("<B", body, FLAG, 2),
+    lambda body: struct.pack_into("<B", body, FLAG, 0),
     lambda body: struct.pack_into("<d", body, SCALAR0, float("nan")),
     lambda body: struct.pack_into("<d", body, BLOB0 + 8, float("nan")),
     _bump_blob_length,
     lambda body: body.extend(bytes(8)),
     lambda body: struct.pack_into("<I", body, K_BLOCKS, 3),
     lambda body: struct.pack_into("<I", body, K_BLOCKS, 0),
-], ids=["kernel", "c_in", "residual_flag", "nan_scalar", "nan_weight", "blob_length",
-        "trailing_bytes", "k_blocks", "zero_blocks"])
+], ids=["kernel", "c_in", "residual_flag", "residual_flag_zero", "nan_scalar", "nan_weight",
+        "blob_length", "trailing_bytes", "k_blocks", "zero_blocks"])
 def test_checkpoint_rejects_crc_valid_corrupt_body(tmp_path, edit):
     path = tmp_path / "g.rmu"
     rio.write_checkpoint(path, golden_model())

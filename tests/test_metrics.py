@@ -158,3 +158,14 @@ def test_sweep_validation(rng):
         sweep({"zero": zero_fill}, scene_pair(rng), (0.0,), (0,))
     with pytest.raises(InvalidArgumentError):
         sweep({"zero": zero_fill}, scene_pair(rng), (150.0,), (0,))
+    # 0.1 % of a 16x16 grid rounds to no cell: refused before the 20 % masks
+    # of the first sparsity are solved, so a sweep loses no finished solve
+    calls = []
+
+    def spy(d, m):
+        calls.append(m.count)
+        return zero_fill(d, m)
+
+    with pytest.raises(InvalidArgumentError, match="rounds to zero cells"):
+        sweep({"zero": spy}, scene_pair(rng)[:1], (20.0, 0.1), (0,))
+    assert calls == []

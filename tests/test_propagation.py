@@ -25,22 +25,26 @@ from radiomap.tensors import ObservationMask, unfold
 # ldpl_field
 
 def test_ldpl_field_formula_at_ten_reference_distances():
-    # n=2 at d = 10*d0 is a 20 dB drop
-    p = LdplParams(tx_row=0, tx_col=0, p0=-10.0, n_exp=2.0, d0=1.0)
+    # n=2 at d = 10*d0 is a 20 dB drop from the power at d0
+    p = LdplParams(tx_row=0, tx_col=0, n_exp=2.0, d0=1.0)
     f = ldpl_field(p, 1, 11)
-    assert f[0, 10] == pytest.approx(-10.0 - 20.0, abs=1e-12)
+    assert f[0, 0] == 0.0
+    assert f[0, 10] == pytest.approx(-20.0, abs=1e-12)
 
 
 def test_ldpl_field_clamped_inside_reference_distance():
-    p = LdplParams(tx_row=3, tx_col=3, p0=5.0, n_exp=3.0, d0=1.5)
+    p = LdplParams(tx_row=3, tx_col=3, n_exp=3.0, d0=1.5)
     f = ldpl_field(p, 7, 7)
-    assert f[3, 3] == 5.0
-    # all four neighbors sit at d=1 < d0, clamped to p0
-    assert f[2, 3] == f[4, 3] == f[3, 2] == f[3, 4] == 5.0
+    assert f[3, 3] == 0.0
+    # all four neighbors sit at d=1 < d0, clamped to the power at d0
+    assert f[2, 3] == f[4, 3] == f[3, 2] == f[3, 4] == 0.0
+    # the diagonal ones at sqrt(2) < d0 too; the next ring at 2 > d0 is below
+    assert f[2, 2] == f[4, 4] == 0.0
+    assert f[1, 3] == pytest.approx(-30.0 * np.log10(2.0 / 1.5), abs=1e-12)
 
 
 def test_ldpl_field_radially_nonincreasing():
-    p = LdplParams(tx_row=8, tx_col=8, p0=0.0, n_exp=2.5)
+    p = LdplParams(tx_row=8, tx_col=8, n_exp=2.5)
     f = ldpl_field(p, 17, 17)
     rows = np.arange(17)[:, None]
     cols = np.arange(17)[None, :]
@@ -68,9 +72,11 @@ def test_ldpl_params_validation():
 # ---------------------------------------------------------------------------
 # ldpl_interpolate
 
-def _ldpl_instance(n_exp=2.5, d0=1.0, h=48, w=48):
-    params = LdplParams(tx_row=21, tx_col=30, p0=0.0, n_exp=n_exp, d0=d0)
-    field = ldpl_field(params, h, w)
+def _ldpl_instance(n_exp=2.5, d0=1.0, h=48, w=48, offset=-10.0):
+    """A two-band noise-free LDPL map; the fit has an intercept, so a power
+    offset on the field must not change it."""
+    params = LdplParams(tx_row=21, tx_col=30, n_exp=n_exp, d0=d0)
+    field = ldpl_field(params, h, w) + offset
     return params, np.repeat(field[:, :, None], 2, axis=2)
 
 
@@ -79,7 +85,7 @@ def test_ldpl_interpolate_exact_on_noise_free_data(rng):
     h, w, _ = d.shape
     sampled = rng.random((h, w)) < 0.15
     sampled[params.tx_row, params.tx_col] = True
-    # the tx's four neighbors tie with it at p0 (clamped); drop them so the
+    # the tx's four neighbors tie with it at d0 (clamped); drop them so the
     # brightest observed cell is the true transmitter
     for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         sampled[params.tx_row + dr, params.tx_col + dc] = False

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from contracts import zero_pq
 from lifetimes import alive_uncaptured, collect_built, value_refs, vertices
 
 import radiomap.autodiff as ad
@@ -14,7 +13,6 @@ import radiomap.unrolled as unrolled
 from radiomap import admm
 from radiomap.admm import AdmmHyperParams, solve_admm
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
-from radiomap.metrics import psnr
 from radiomap.propagation import SceneSpec, generate_scene, ldpl_interpolate, sample_mask
 from radiomap.tensors import ObservationMask, fro_norm, project
 from radiomap.unrolled import (MapperSpec, TrainConfig, UnrolledModel,
@@ -29,8 +27,9 @@ def instance():
 
 
 def zero_mapper_model(k_blocks=3, rho=1e-2):
-    m = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=k_blocks,
-                             mapper=MapperSpec(residual=False), rho=rho, seed=1)
+    """The default residual mappers with every weight and bias zeroed, so that
+    each mapper is the identity and each block a classical iteration."""
+    m = UnrolledModel.create(h=24, w=24, k_bands=3, k_blocks=k_blocks, rho=rho, seed=1)
     for b in m.blocks:
         for wn, bn in b.v_layers + b.w_layers:
             wn.value[...] = 0.0
@@ -47,22 +46,14 @@ def matched_hp(model):
                            penalty_growth=1.0, max_iters=model.k_blocks, tol=1e-300)
 
 
-def solve_zero_pq(truth, mask, hp, monkeypatch):
-    """solve_admm with P and Q held at their zero start, as in a block whose
-    mappers output zero."""
-    with monkeypatch.context() as mp:
-        mp.setattr(admm, "update_pq_classical", zero_pq)
-        return solve_admm(truth, mask, hp)
-
-
 # ---------------------------------------------------------------------------
 # forward semantics
 
-def test_zero_mappers_reduce_to_classical_blocks(instance, monkeypatch):
+def test_zero_mappers_reduce_to_classical_blocks(instance):
     truth, mask = instance
     model = zero_mapper_model()
     est = infer(model, truth, mask)
-    res = solve_zero_pq(truth, mask, matched_hp(model), monkeypatch)
+    res = solve_admm(truth, mask, matched_hp(model))
     assert np.abs(est - res.d_hat).max() < 1e-12
 
 
@@ -84,26 +75,18 @@ def test_zero_mappers_reduce_to_classical_blocks_when_svt_keeps_rank(instance, m
     model = zero_mapper_model(rho=1.0)
     est = infer(model, truth, mask)
     unrolled_ranks = kept[:]
-    res = solve_zero_pq(truth, mask, matched_hp(model), monkeypatch)
+    res = solve_admm(truth, mask, matched_hp(model))
     assert np.abs(est - res.d_hat).max() < 1e-12
     assert kept == unrolled_ranks * 2 and len(unrolled_ranks) == 3 * model.k_blocks
     assert max(unrolled_ranks) > 0
 
 
-def test_zero_mappers_single_block(instance, monkeypatch):
+def test_zero_mappers_single_block(instance):
     truth, mask = instance
     model = zero_mapper_model(k_blocks=1)
     est = infer(model, truth, mask)
-    res = solve_zero_pq(truth, mask, matched_hp(model), monkeypatch)
-    assert np.abs(est - res.d_hat).max() < 1e-12
-
-
-def test_zero_mapper_psnr_close_to_identity_prox(instance):
-    truth, mask = instance
-    model = zero_mapper_model()
-    p_zero = psnr(infer(model, truth, mask), truth)
     res = solve_admm(truth, mask, matched_hp(model))
-    assert p_zero >= psnr(res.d_hat, truth) - 0.5
+    assert np.abs(est - res.d_hat).max() < 1e-12
 
 
 def test_fully_observed_residual_decreases(instance):
@@ -215,9 +198,10 @@ def test_gradient_reaches_every_live_parameter(instance):
 def test_decoded_scalars_positive_after_updates():
     model = UnrolledModel.create(k_blocks=2, seed=0)
     st = ad.AdamState.for_params(model.params())
-    grads = [np.full_like(p.value, 3.0) for p in model.params()]
+    for p in model.params():
+        p.grad = np.full_like(p.value, 3.0)
     for _ in range(5):
-        ad.adam_step(model.params(), grads, st, lr=0.5)
+        ad.adam_step(model.params(), st, lr=0.5)
     for b in model.blocks:
         assert all(v > 0 for v in b.decoded_scalars().values())
 
@@ -523,14 +507,14 @@ def test_training_with_non_default_mapper_on_non_square_grid(mapper):
     assert np.array_equal(infer(model, d, mask), forward(model, d, mask).value)
 
 
-def reference_mapper(layers, spec, x):
+def reference_mapper(layers, x):
     """The mapper written as separate conv2d, bias_add and relu nodes."""
     y = x
     for i, (wn, bn) in enumerate(layers):
         y = ad.bias_add(ad.conv2d(y, wn, np.zeros(bn.shape)), bn)
         if i < len(layers) - 1:
             y = ad.relu(y)
-    return x + y if spec.residual else y
+    return x + y
 
 
 def test_fused_mapper_matches_separate_ops_bitwise(monkeypatch):
