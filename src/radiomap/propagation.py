@@ -133,6 +133,11 @@ def _correlated_shadowing(h, w, sigma, corr, rng) -> np.ndarray:
 def _check_dims(h, w, k_bands):
     if h < 1 or w < 1 or k_bands < 1:
         raise InvalidArgumentError(f"scene dims must be positive, got {h}x{w}x{k_bands}")
+    # numpy indexes at most intp's largest value in bytes; a larger grid fails
+    # in numpy with a bare ValueError, so refuse it before any draw or allocation
+    if int(h) * int(w) * int(k_bands) * 8 > np.iinfo(np.intp).max:
+        raise InvalidArgumentError(
+            f"scene dims {h}x{w}x{k_bands} exceed what numpy can address as one float64 tensor")
 
 
 def check_seed(seed) -> None:

@@ -9,7 +9,7 @@ import pytest
 from contracts import check_noise_ball
 
 from radiomap import admm
-from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState,
+from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState, block_step,
                            psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical, update_x)
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
@@ -447,6 +447,12 @@ SWEEP_64_SEED_1 = [(5.0, 2, 35, 1279094308, 672526059), (10.0, 1, 39, 1248362672
                    (20.0, 1, 41, 1377111928, 46345865), (50.0, 1, 38, 552346794, 2015323390)]
 
 
+def sweep_64_draw(rate, n_tx, n_obs, scene_seed, mask_seed):
+    spec = SceneSpec.random(64, 64, 3, n_transmitters=n_tx, n_obstructions=n_obs,
+                            obstruction_depth=15.0, seed=scene_seed)
+    return generate_scene(spec).ground_truth, sample_mask(64, 64, rate, seed=mask_seed)
+
+
 @pytest.mark.parametrize("rate, n_tx, n_obs, scene_seed, mask_seed", SWEEP_64_SEED_1,
                          ids=[f"{draw[0]:g}%" for draw in SWEEP_64_SEED_1])
 def test_halrtc_stops_before_the_cap_within_005_db_of_the_plain_loop(rate, n_tx, n_obs,
@@ -455,13 +461,48 @@ def test_halrtc_stops_before_the_cap_within_005_db_of_the_plain_loop(rate, n_tx,
     0.05 dB of the plain loop's 200-iteration PSNR. The change of x at the
     5 % draw is 0 at iteration 1 (the M-step zeroes every unfolding), so
     without the gap guard that solve would stop there, about 1 dB short."""
-    spec = SceneSpec.random(64, 64, 3, n_transmitters=n_tx, n_obstructions=n_obs,
-                            obstruction_depth=15.0, seed=scene_seed)
-    truth = generate_scene(spec).ground_truth
-    mask = sample_mask(64, 64, rate, seed=mask_seed)
+    truth, mask = sweep_64_draw(rate, n_tx, n_obs, scene_seed, mask_seed)
     res = solve_halrtc(truth, mask)
     assert res.converged and len(res.history) < HALRTC_DEFAULTS.max_iters
     assert psnr(res.d_hat, truth) >= psnr(reference_halrtc(truth, mask), truth) - 0.05
+
+
+def reference_plain_admm(d, mask, iters: int):
+    """solve_admm's plain loop: block_step with the identity P/Q step, mu,
+    theta and beta growing by penalty_growth up to penalty_cap after each
+    step, for a fixed number of iterations. Returns x + e."""
+    d, pd = observed(d, mask)
+    hp = AdmmHyperParams().resolved(d.shape)
+    state = AdmmState.initial(pd)
+    for _ in range(iters):
+        state = block_step(state, pd, mask, hp, update_pq_classical, NUMPY)
+        hp = replace(hp, **{name: min(getattr(hp, name) * hp.penalty_growth, hp.penalty_cap)
+                            for name in ("mu", "theta", "beta")})
+    return state.x + state.e
+
+
+def test_admm_is_the_plain_loop_bit_for_bit_while_mu_is_below_one():
+    """mu = 1e-2 * 1.05^k reaches 1 at iteration 95. Up to then every step is
+    block_step on the plain iterate; the first extrapolation weight is 0, so
+    the solve leaves the plain loop only at its 98th iteration."""
+    truth, mask = sweep_64_draw(*SWEEP_64_SEED_1[2])
+    for iters in (60, 97):
+        res = solve_admm(truth, mask, AdmmHyperParams(max_iters=iters))
+        assert len(res.history) == iters
+        assert np.array_equal(res.d_hat, reference_plain_admm(truth, mask, iters))
+    res = solve_admm(truth, mask, AdmmHyperParams(max_iters=98))
+    assert not np.array_equal(res.d_hat, reference_plain_admm(truth, mask, 98))
+
+
+@pytest.mark.parametrize("draw", SWEEP_64_SEED_1, ids=[f"{draw[0]:g}%" for draw in SWEEP_64_SEED_1])
+def test_admm_at_its_cap_is_within_005_db_of_200_plain_iterations(draw):
+    """The default solve runs to its 140-iteration cap on each of `sweep-64`'s
+    seed-1 draws, and its extrapolated tail gets within 0.05 dB of the plain
+    loop's PSNR at 200 iterations."""
+    truth, mask = sweep_64_draw(*draw)
+    res = solve_admm(truth, mask)
+    assert not res.converged and len(res.history) == AdmmHyperParams().max_iters == 140
+    assert psnr(res.d_hat, truth) >= psnr(reference_plain_admm(truth, mask, 200), truth) - 0.05
 
 
 def test_both_solvers_stop_on_overflowing_norms():

@@ -272,6 +272,18 @@ def test_nonpositive_scene_dims_exit_2(tmp_path, capsys):
         assert "scene dims must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [f"scene.h={10**30}", f"scene.k_bands={2**63}"])
+def test_scene_dims_numpy_cannot_address_exit_2(tmp_path, capsys, line):
+    """At the parent these failed inside numpy: rng.integers' "high is out of
+    bounds for int64" for h, "Maximum allowed dimension exceeded" for k_bands.
+    Both are refused before any draw or allocation."""
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text(line + "\n")
+    assert run("gen", "--spec", cfg, "--out", tmp_path / "scene") == 2
+    assert "exceed what numpy can address" in capsys.readouterr().err
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("command,line,code", [
     ("gen", "scene.seed=-1", 2),
     ("sample", None, 2),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from lifetimes import alive_uncaptured, collect_built, value_refs, vertices
 
+import gradcheck
 import radiomap.autodiff as ad
 import radiomap.shrinkage as shrinkage
 import radiomap.unrolled as unrolled
@@ -193,6 +194,44 @@ def test_gradient_reaches_every_live_parameter(instance):
         assert p.grad is not None and np.any(p.grad != 0.0)
     dead = [p for p in model.params() if all(p is not q for q in live)]
     assert dead and all(p.grad is None for p in dead)
+
+
+def test_whole_network_gradient_matches_finite_differences():
+    """backward() through K = 2 whole blocks, scalars and mappers included,
+    against central differences on 3 sampled entries of every parameter
+    tensor. Weights and biases are drawn nonzero: with zero biases and a zero
+    off-mask input, first-layer pre-activations sit on ReLU's kink, where the
+    differences disagree with the subgradient the backward takes. At
+    rho = 1e-2 no SVT keeps rank, so svt's approximate backward is not
+    exercised. The dead tail's parameters must read 0 both ways."""
+    spec = SceneSpec.random(12, 12, 2, n_transmitters=1, n_obstructions=2,
+                            obstruction_depth=10.0, seed=3)
+    truth, mask = generate_scene(spec).ground_truth, sample_mask(12, 12, 30.0, seed=4)
+    prior = ldpl_interpolate(truth, mask).values
+    model = UnrolledModel.create(h=12, w=12, k_bands=2, k_blocks=2, rho=1e-2, seed=2)
+    rng = np.random.default_rng(6)
+    params = model.params()
+    for p in params:
+        p.value += rng.normal(0.0, 0.1, p.value.shape)
+
+    def value():
+        return float(loss(forward(model, truth, mask), truth, prior, model.loss_omega).value)
+
+    ad.backward(loss(forward(model, truth, mask), truth, prior, model.loss_omega))
+    worst = 0.0
+    for p in params:
+        ana = p.grad if p.grad is not None else np.zeros_like(p.value)
+        for flat in rng.choice(p.value.size, size=min(3, p.value.size), replace=False):
+            idx = np.unravel_index(flat, p.value.shape)
+            base = p.value[idx]
+            p.value[idx] = base + gradcheck.H
+            up = value()
+            p.value[idx] = base - gradcheck.H
+            num = (up - value()) / (2 * gradcheck.H)
+            p.value[idx] = base
+            err = abs(num - ana[idx]) / max(abs(num), abs(ana[idx]), 1e-3)
+            worst = max(worst, err)
+    assert worst < gradcheck.TOL, f"gradient error {worst:.3e}"
 
 
 def test_decoded_scalars_positive_after_updates():
