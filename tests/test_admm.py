@@ -13,7 +13,7 @@ from radiomap.admm import (HALRTC_DEFAULTS, NUMPY, AdmmHyperParams, AdmmState, b
                            psi_x, solve_admm, solve_halrtc, update_e, update_m_i,
                            update_multipliers, update_n, update_pq_classical, update_x)
 from radiomap.errors import InvalidArgumentError, NumericalFailureError
-from radiomap.metrics import psnr
+from radiomap.metrics import mask_seed, psnr
 from radiomap.propagation import SceneSpec, generate_scene, sample_mask
 from radiomap.shrinkage import svt
 from radiomap.tensors import MODES, ObservationMask, fold, fro_norm, observed, project, unfold
@@ -492,6 +492,73 @@ def test_admm_is_the_plain_loop_bit_for_bit_while_mu_is_below_one():
         assert np.array_equal(res.d_hat, reference_plain_admm(truth, mask, iters))
     res = solve_admm(truth, mask, AdmmHyperParams(max_iters=98))
     assert not np.array_equal(res.d_hat, reference_plain_admm(truth, mask, 98))
+
+
+def reference_fast_admm(d, mask, max_iters: int = 140, eta: float = 0.999):
+    """solve_admm with its tail as fast ADMM with restart (Goldstein et al.
+    2014, Alg. 8), written out plainly around block_step. A step taken at
+    mu >= 1 is followed by Alg. 8's test: c from the new x and y_i against the
+    x and y_i that step read, and the weight min((a - 1) / a_next, 0.5). The
+    next step reads x, the y_i and lam extrapolated from the previous plain
+    iterate, or on a restart that plain iterate's own x, y_i and lam; it reads
+    e, n, p, q, gam and phi from the new iterate. Stops when the relative
+    change of x + e is below the default tol. Returns the last plain iterate,
+    the residual history and whether the loop stopped early."""
+    d, pd = observed(d, mask)
+    hp = AdmmHyperParams().resolved(d.shape)
+    read = AdmmState.initial(pd)                     # the point the next step reads
+    x_prev, y_prev, lam_prev = read.x, read.y, read.lam  # the previous plain iterate
+    a, c_prev = 1.0, np.inf                          # alpha_k, c_{k-1}
+    history, est_prev = [], read.x + read.e
+    for _ in range(max_iters):
+        x_hat, y_hat, mu, rho = read.x, read.y, hp.mu, hp.rho
+        new = block_step(read, pd, mask, hp, update_pq_classical, NUMPY)
+        hp = replace(hp, **{name: min(getattr(hp, name) * hp.penalty_growth, hp.penalty_cap)
+                            for name in ("mu", "theta", "beta")})
+        history.append(fro_norm(pd - new.x - new.e - new.n))
+        read = new
+        if mu >= 1.0:
+            c = (sum(fro_norm(yi - yh) ** 2 for yi, yh in zip(new.y, y_hat)) / rho
+                 + 3.0 * rho * fro_norm(new.x - x_hat) ** 2)
+            if c < eta * c_prev:
+                a_next = (1.0 + np.sqrt(1.0 + 4.0 * a * a)) / 2.0
+                w = min((a - 1.0) / a_next, 0.5)
+                read = replace(new, x=new.x + w * (new.x - x_prev),
+                               y=[yi + w * (yi - yp) for yi, yp in zip(new.y, y_prev)],
+                               lam=new.lam + w * (new.lam - lam_prev))
+                a, c_prev = a_next, c
+            else:
+                read = replace(new, x=x_prev, y=y_prev, lam=lam_prev)
+                a, c_prev = 1.0, c_prev / eta
+        x_prev, y_prev, lam_prev = new.x, new.y, new.lam
+        est = new.x + new.e
+        stop = fro_norm(est - est_prev) / max(fro_norm(est), 1e-12) < hp.tol
+        est_prev = est
+        if stop:
+            return new, history, True
+    return new, history, False
+
+
+def first_one_percent_draw_of_test_08():
+    """test_08's 1 % draw of its first scene at sweep seed 0."""
+    spec = SceneSpec.random(64, 64, 3, n_transmitters=1, n_obstructions=30,
+                            obstruction_depth=15.0, seed=9000)
+    return generate_scene(spec).ground_truth, sample_mask(64, 64, 1.0, mask_seed(0, 0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["sweep-64 20%", "test_08 1%"])
+def test_admm_matches_its_accelerated_reference_loop_bit_for_bit(case):
+    """solve_admm against its tail written out as Alg. 8: the 20 % draw of
+    `sweep-64` runs to the 140 cap, and test_08's 1 % draw stops early."""
+    capped = case == "sweep-64 20%"
+    truth, mask = sweep_64_draw(*SWEEP_64_SEED_1[2]) if capped else first_one_percent_draw_of_test_08()
+    ref, history, stopped = reference_fast_admm(truth, mask)
+    res = solve_admm(truth, mask)
+    assert stopped is not capped and len(history) > 97
+    assert len(history) == 140 if capped else len(history) < 140
+    assert res.converged == stopped and res.history == history
+    for name in ("x", "e", "n"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("draw", SWEEP_64_SEED_1, ids=[f"{draw[0]:g}%" for draw in SWEEP_64_SEED_1])
