@@ -9,16 +9,15 @@ variables p, q so that extra priors on x and e can be plugged in as
 proximal mappings; the classical solver uses the identity mapping.
 
 block_step is the one copy of that iteration. solve_admm runs it on numpy
-arrays, and once its data-fit penalty has grown to 1 it feeds each step an
-extrapolated point (fast ADMM with restart); each block of the unrolled
-network (radiomap.unrolled) runs the same function on autodiff Nodes, with
-learned scalars and learned P/Q mappings, and no extrapolation.
-
+arrays; each block of the unrolled network (radiomap.unrolled) runs the same
+function on autodiff Nodes, with learned scalars and learned P/Q mappings.
 solve_halrtc, the pure low-rank completion baseline, keeps only the unfolding
-step (update_m_i) and pins the observed cells to the data each sweep; its two
-blocks run as fast ADMM with restart. Both classical solvers take the
-extrapolation weight and restart rule from one copy (_FastRestart), run in
-one stop loop (_iterate) and return an AdmmResult.
+step (update_m_i) and pins the observed cells to the data each sweep.
+
+Both classical solvers run in one stop loop (_iterate), which owns the
+history, the change test and fast ADMM with restart: solve_admm's tail, once
+its data-fit penalty has grown to 1, and all of solve_halrtc read extrapolated
+points. Each solver's step is a plain function of the point it reads.
 """
 
 import sys
@@ -78,8 +77,8 @@ class AdmmHyperParams:
         # written as "not ok" so that NaN fails each check
         if not self.delta >= 0:
             raise InvalidArgumentError(f"delta must be >= 0, got {self.delta}")
-        if self.max_iters < 1:
-            raise InvalidArgumentError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise InvalidArgumentError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not self.penalty_growth >= 1.0:
             raise InvalidArgumentError(f"penalty_growth must be >= 1, got {self.penalty_growth}")
         if not max(self.mu, self.theta, self.beta) <= self.penalty_cap < np.inf:
@@ -216,53 +215,59 @@ class AdmmResult:
         return self.x + self.e
 
 
-def _iterate(step, estimate, hp) -> tuple[list, bool]:
-    """Stop loop of both classical solvers. step() runs one iteration and returns
-    (residual, ok): the residual, which must be finite, is recorded; ok must hold
-    with the change test."""
-    history = []
-    prev = estimate()
-    for it in range(hp.max_iters):
-        residual, ok = step()
-        history.append(residual)
-        if not np.isfinite(residual):
-            raise NumericalFailureError(f"residual became non-finite at iteration {it}")
-        cur = estimate()
-        rel = fro_norm(cur - prev) / max(fro_norm(cur), 1e-12)
-        prev = cur
-        if rel < hp.tol and ok:
-            return history, True
-    return history, False
+def _extrapolate(new, old, w):
+    """new + w (new - old), for an array or the list of the y_i."""
+    if isinstance(new, list):
+        return [_extrapolate(a, b, w) for a, b in zip(new, old)]
+    return new + w * (new - old)
 
 
 # eta of Goldstein et al. 2014, Alg. 8: restart unless c falls by 0.1 %
 _RESTART = 0.999
-# solve_admm extrapolates once mu has reached this, by at most this weight
-_FAST_FROM_MU = 1.0
-_FAST_MAX_WEIGHT = 0.5
 
 
-class _FastRestart:
-    """Alg. 8's restart test and Nesterov weight (Goldstein, O'Donoghue, Setzer
-    & Baraniuk 2014), for an x tied to three auxiliaries by multipliers y_i:
-    the one copy both classical solvers call."""
+def _iterate(step, state, hp, estimate, fields, fast, max_weight=np.inf):
+    """Stop loop of both classical solvers, as fast ADMM with restart
+    (Goldstein, O'Donoghue, Setzer & Baraniuk 2014, SIAM J. Imaging Sci. 7(3), Alg. 8).
 
-    def __init__(self):
-        self.alpha, self.c_prev = 1.0, np.inf  # alpha_k and c_{k-1}
+    step(state) runs one iteration from the point it reads and returns the new
+    plain iterate, its residual (recorded; must be finite) and ok (must hold
+    with the change test on estimate(plain iterate)). After a step begun with
+    fast() true, the next one reads the named fields, x and the y_i among them,
+    extrapolated from the previous plain iterate by the Nesterov weight, at
+    most max_weight, or, on a restart, that iterate's own: a restart comes
+    whenever c = sum_i ||y_i - y^_i||^2 / rho + 3 rho ||x - x^||^2 against the
+    point read fails to fall by 0.1 %. Returns (plain iterate, history, converged).
+    """
+    history, alpha, c_prev = [], 1.0, np.inf  # alpha_k and c_{k-1} of Alg. 8
+    last, est_prev = {f: getattr(state, f) for f in fields}, estimate(state)
+    for it in range(hp.max_iters):
+        hat_x, hat_y, accelerate = state.x, state.y, fast()  # a step may rebind state.x
+        state, residual, ok = step(state)
+        history.append(residual)
+        if not np.isfinite(residual):
+            raise NumericalFailureError(f"residual became non-finite at iteration {it}")
+        est, plain = estimate(state), {f: getattr(state, f) for f in fields}
+        if accelerate:
+            c = (sum(fro_norm(yi - hi) ** 2 for yi, hi in zip(state.y, hat_y)) / hp.rho
+                 + 3.0 * hp.rho * fro_norm(state.x - hat_x) ** 2)
+            if c < _RESTART * c_prev:
+                alpha_next = (1.0 + np.sqrt(1.0 + 4.0 * alpha * alpha)) / 2.0
+                w = min((alpha - 1.0) / alpha_next, max_weight)
+                alpha, c_prev = alpha_next, c
+                state = replace(state, **{f: _extrapolate(plain[f], last[f], w) for f in fields})
+            else:
+                alpha, c_prev = 1.0, c_prev / _RESTART
+                state = replace(state, **last)
+        last = plain
+        if fro_norm(est - est_prev) / max(fro_norm(est), 1e-12) < hp.tol and ok:
+            return replace(state, **last), history, True
+        est_prev = est
+    return replace(state, **last), history, False
 
-    def weight(self, x, y, hat_x, hat_y, rho):
-        """The weight for extrapolating the new iterate (x, y) from the one
-        before, or None to restart from that one; (hat_x, hat_y) is the point
-        the step read."""
-        c = (sum(fro_norm(yi - hi) ** 2 for yi, hi in zip(y, hat_y)) / rho
-             + 3.0 * rho * fro_norm(x - hat_x) ** 2)
-        if c < _RESTART * self.c_prev:
-            alpha_next = (1.0 + np.sqrt(1.0 + 4.0 * self.alpha * self.alpha)) / 2.0
-            w = (self.alpha - 1.0) / alpha_next
-            self.alpha, self.c_prev = alpha_next, c
-            return w
-        self.alpha, self.c_prev = 1.0, self.c_prev / _RESTART
-        return None
+
+# solve_admm extrapolates once mu has reached the first, by at most the second weight
+_FAST_FROM_MU, _FAST_MAX_WEIGHT = 1.0, 0.5
 
 
 def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None) -> AdmmResult:
@@ -272,49 +277,29 @@ def solve_admm(d, mask: ObservationMask, hp: AdmmHyperParams | None = None) -> A
     update_n and update_pq_classical on this module at every step, so a wrapper
     installed on either name (a tracer, or a test's contract check) sees each call.
 
-    Once the data-fit penalty mu has reached 1 (iteration 95 at the defaults),
-    the tail runs as fast ADMM with restart (Goldstein et al. 2014, Alg. 8, as
-    in solve_halrtc): the next step reads x, the y_i and lam extrapolated with
-    the Nesterov weight, capped at 0.5, and e, n, p, q, gam and phi from the
-    plain iterate. The extrapolation restarts from the previous plain iterate
-    whenever c = sum_i ||y_i - y^_i||^2 / rho + 3 rho ||x - x^||^2 fails to fall
-    by 0.1 %. Until then every step is block_step on the plain iterate. The
-    history, the change test and the result all read the plain iterate.
+    Until the data-fit penalty mu reaches 1 (iteration 95 at the defaults),
+    every step is block_step on the plain iterate. From then on _iterate runs
+    the tail as fast ADMM with restart: the next step reads x, the y_i and lam
+    extrapolated with the Nesterov weight, capped at 0.5. The history, the
+    change test (on x + e) and the result all read the plain iterate.
     """
     d, pd = observed(d, mask)
     hp = (hp if hp is not None else AdmmHyperParams()).resolved(d.shape)
     # AdmmHyperParams is frozen and checked once, when built; the penalties
     # grow in a plain copy, so no step builds and re-checks a new one
     hp = SimpleNamespace(**vars(hp))
-    # the state the next step reads, and the plain iterate's x, y and lam; the
-    # two share e, n, p, q, gam and phi, and until mu reaches _FAST_FROM_MU
-    # they are one iterate
-    hat = AdmmState.initial(pd)
-    plain = SimpleNamespace(x=hat.x, y=hat.y, lam=hat.lam)
-    fast = _FastRestart()
 
-    def step():
-        nonlocal hat, plain
-        read_x, read_y, mu = hat.x, hat.y, hp.mu  # block_step overwrites hat.x
-        new = block_step(hat, pd, mask, hp, update_pq_classical, NUMPY)
+    def step(state):
+        new = block_step(state, pd, mask, hp, update_pq_classical, NUMPY)
         hp.mu = min(hp.mu * hp.penalty_growth, hp.penalty_cap)
         hp.theta = min(hp.theta * hp.penalty_growth, hp.penalty_cap)
         hp.beta = min(hp.beta * hp.penalty_growth, hp.penalty_cap)
-        hat = new
-        if mu >= _FAST_FROM_MU:
-            w = fast.weight(new.x, new.y, read_x, read_y, hp.rho)
-            if w is None:
-                hat = replace(new, x=plain.x, y=plain.y, lam=plain.lam)
-            else:
-                w = min(w, _FAST_MAX_WEIGHT)
-                hat = replace(new, x=new.x + w * (new.x - plain.x),
-                              y=[yi + w * (yi - pi) for yi, pi in zip(new.y, plain.y)],
-                              lam=new.lam + w * (new.lam - plain.lam))
-        plain = SimpleNamespace(x=new.x, y=new.y, lam=new.lam)
-        return primal_residual(new, pd), True
+        return new, primal_residual(new, pd), True
 
-    history, converged = _iterate(step, lambda: plain.x + hat.e, hp)
-    return AdmmResult(x=plain.x, e=hat.e, n=hat.n, history=history, converged=converged)
+    state, history, converged = _iterate(
+        step, AdmmState.initial(pd), hp, lambda s: s.x + s.e, ("x", "y", "lam"),
+        lambda: hp.mu >= _FAST_FROM_MU, _FAST_MAX_WEIGHT)
+    return AdmmResult(x=state.x, e=state.e, n=state.n, history=history, converged=converged)
 
 
 HALRTC_DEFAULTS = AdmmHyperParams(rho=0.1, tol=2e-4, max_iters=200)
@@ -323,16 +308,22 @@ HALRTC_DEFAULTS = AdmmHyperParams(rho=0.1, tol=2e-4, max_iters=200)
 _GAP_GUARD = 0.1
 
 
-def solve_halrtc(d, mask: ObservationMask, hp: AdmmHyperParams = HALRTC_DEFAULTS) -> AdmmResult:
+@dataclass
+class _HalrtcIterate:
+    """HaLRTC's iterate: x and the multipliers y_i of its three unfoldings."""
+
+    x: np.ndarray
+    y: list
+
+
+def solve_halrtc(d, mask: ObservationMask, hp: AdmmHyperParams | None = None) -> AdmmResult:
     """Pure low-rank completion baseline; observed cells are pinned to the data.
 
     HaLRTC (Liu, Musialski, Wonka & Ye 2013) is a two-block ADMM with a fixed
-    penalty rho: the M-step shrinks each unfolding, the X step averages the m_i
-    and pins the observed cells. It runs here as fast ADMM with restart
-    (Goldstein, O'Donoghue, Setzer & Baraniuk 2014, SIAM J. Imaging Sci. 7(3),
-    Alg. 8): each M-step reads x and the y_i extrapolated with Nesterov
-    weights, and the extrapolation restarts from the previous iterate whenever
-    c = sum_i ||y_i - y^_i||^2 / rho + 3 rho ||x - x^||^2 fails to fall by 0.1 %.
+    penalty rho (hp None means HALRTC_DEFAULTS): the M-step shrinks each
+    unfolding, the X step averages the m_i and pins the observed cells.
+    _iterate runs it as fast ADMM with restart from the first step: each M-step
+    reads x and the y_i extrapolated with the uncapped Nesterov weight.
 
     Stops when the relative change of x falls below tol while the gap
     max_i ||x - m_i||_F / ||x||_F (its history) is below 0.1. The gap falls
@@ -341,28 +332,18 @@ def solve_halrtc(d, mask: ObservationMask, hp: AdmmHyperParams = HALRTC_DEFAULTS
     data (change 0) while the gap is 1.
     """
     d, pd = observed(d, mask)
+    hp = hp if hp is not None else HALRTC_DEFAULTS
     on = mask.sampled[:, :, None]
-    # the iterate, and the point the next M-step reads (it reads only x and y)
-    state = SimpleNamespace(x=pd, y=[np.zeros_like(d) for _ in MODES])
-    hat = state
-    fast = _FastRestart()
 
-    def step():
-        nonlocal state, hat
-        ms = update_m_i(hat, hp, NUMPY)
-        x = np.where(on, pd, sum(mi - yi / hp.rho for mi, yi in zip(ms, hat.y)) / 3.0)
-        y = [yi + hp.rho * (x - mi) for yi, mi in zip(hat.y, ms)]
-        w = fast.weight(x, y, hat.x, hat.y, hp.rho)
-        if w is None:
-            hat = state
-        else:
-            # x^ keeps the data on observed cells: x and state.x both hold it
-            hat = SimpleNamespace(x=x + w * (x - state.x),
-                                  y=[yi + w * (yi - pi) for yi, pi in zip(y, state.y)])
-        state = SimpleNamespace(x=x, y=y)
+    def step(state):
+        ms = update_m_i(state, hp, NUMPY)
+        x = np.where(on, pd, sum(mi - yi / hp.rho for mi, yi in zip(ms, state.y)) / 3.0)
+        y = [yi + hp.rho * (x - mi) for yi, mi in zip(state.y, ms)]
         gap = max(fro_norm(x - mi) for mi in ms) / max(fro_norm(x), 1e-12)
-        return gap, gap < _GAP_GUARD
+        return _HalrtcIterate(x, y), gap, gap < _GAP_GUARD
 
-    history, converged = _iterate(step, lambda: state.x, hp)
+    state, history, converged = _iterate(
+        step, _HalrtcIterate(pd, [np.zeros_like(d) for _ in MODES]), hp, lambda s: s.x,
+        ("x", "y"), lambda: True)
     return AdmmResult(x=state.x, e=np.zeros_like(d), n=np.zeros_like(d),
                       history=history, converged=converged)

@@ -56,8 +56,8 @@ class TrainConfig:
     val_split: float = 0.2
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidArgumentError(f"epochs must be >= 1, got {self.epochs}")
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise InvalidArgumentError(f"epochs must be an integer >= 1, got {self.epochs}")
         if not 0.0 < self.val_split < 1.0:
             raise InvalidArgumentError(f"val_split must be in (0, 1), got {self.val_split}")
         if not np.isfinite(self.lr) or self.lr < 0:

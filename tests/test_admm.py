@@ -278,6 +278,17 @@ def test_hyperparams_validation():
         AdmmHyperParams(penalty_cap=float("inf"))
 
 
+def test_max_iters_must_be_an_integer():
+    """A fractional or float iteration cap is refused where it is built, not
+    by range() in the middle of a solve; numpy integers are accepted."""
+    for bad in (2.5, 3.0, float("nan"), "3"):
+        with pytest.raises(InvalidArgumentError, match="max_iters must be an integer"):
+            AdmmHyperParams(max_iters=bad)
+    hp = AdmmHyperParams(max_iters=np.int64(3))
+    d = np.random.default_rng(3).random((8, 8, 2))
+    assert len(solve_admm(d, ObservationMask.full(8, 8), hp).history) == 3
+
+
 def test_uncapped_penalty_growth_must_stay_finite():
     """An infinite penalty_cap is refused at every growth factor and iteration
     count, so the penalties never outgrow a finite cap."""
@@ -555,7 +566,7 @@ def test_admm_matches_its_accelerated_reference_loop_bit_for_bit(case):
     ref, history, stopped = reference_fast_admm(truth, mask)
     res = solve_admm(truth, mask)
     assert stopped is not capped and len(history) > 97
-    assert len(history) == 140 if capped else len(history) < 140
+    assert (len(history) == 140) if capped else (len(history) < 140)
     assert res.converged == stopped and res.history == history
     for name in ("x", "e", "n"):
         assert np.array_equal(getattr(res, name), getattr(ref, name)), name
@@ -592,6 +603,15 @@ def test_solver_fully_observed_reproduces_data(rng):
     fit = fro_norm(res.d_hat - d) / fro_norm(d)
     assert fit < 1e-3
     assert res.history[-1] < res.history[0]
+
+
+def test_halrtc_without_hyperparameters_runs_at_its_defaults(rng):
+    """hp None means HALRTC_DEFAULTS, as it means AdmmHyperParams() for solve_admm."""
+    d = rng.random((12, 12, 2))
+    mask = ObservationMask(rng.random((12, 12)) < 0.4)
+    res, ref = solve_halrtc(d, mask, None), solve_halrtc(d, mask, HALRTC_DEFAULTS)
+    assert np.array_equal(res.x, ref.x) and res.history == ref.history
+    assert np.array_equal(solve_halrtc(d, mask).x, ref.x)
 
 
 def test_halrtc_pins_observed_cells(rng):

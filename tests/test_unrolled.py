@@ -600,6 +600,15 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
 
 
+def test_train_config_epochs_must_be_an_integer():
+    """A fractional or float epoch count is refused where the config is built,
+    not by range() inside train after the LDPL fits; numpy integers are accepted."""
+    for bad in (2.5, 2.0, float("nan")):
+        with pytest.raises(InvalidArgumentError, match="epochs must be an integer"):
+            TrainConfig(epochs=bad)
+    assert TrainConfig(epochs=np.int64(2)).epochs == 2
+
+
 def test_model_create_validation():
     with pytest.raises(InvalidArgumentError):
         UnrolledModel.create(k_blocks=0)
