@@ -14,7 +14,10 @@ that buffer as its padded input instead of copying the value into a new
 one. Only conv2d sets padded, its pad cells are zero, and nothing writes to
 the buffer once conv2d has returned. Its tap GEMMs run over row blocks sized
 to stay in L2 (_BLOCK_BYTES), all taps of one block before the next; a layer
-that fits in one block makes the same BLAS calls as an unblocked loop.
+that fits in one block makes the same BLAS calls as an unblocked loop. The
+backward of every conv2d builds its own output gradient and only reads the
+one it is handed; the input gradient it stores is the interior view of its
+padded-shape dflat, not a copy.
 
 The shrinkage, projection and structure ops take their forward values from
 the numpy kernels in `shrinkage` and `tensors` and add only the backward
@@ -170,7 +173,8 @@ def as_node(x) -> Node:
 def _acc(v: Vertex, g: np.ndarray, copy: bool = True) -> None:
     # the first gradient is copied, not zero-filled and added to: one g is
     # often handed to several parents, and later sums go into grad in place.
-    # copy=False keeps a first g that nothing else references as it is
+    # copy=False keeps a first g that nothing else references as it is:
+    # conv2d's input gradient, the interior view of its own dflat
     if v is _CONST:
         return
     if v.grad is None:
@@ -393,15 +397,12 @@ def conv2d(x, w, b, relu: bool = False) -> Node:
     afresh. Only conv2d sets padded, and nothing writes to the buffer after
     it returns, so its pad cells stay zero through forward and backward.
 
-    The backward hands the input gradient over in the same layout. dflat
-    has the padded input's shape, so when the forward read the input's
-    buffer, dflat's interior view is stored as the input's first gradient
-    instead of being copied out (a later gradient is added to it as usual).
-    When that view reaches the producing conv as its g, the conv takes
-    dflat's rows as its gx: it zeroes the wrapped columns, which lie on
-    dflat's pad cells, and applies its ReLU mask in place, instead of
-    zero-filling a fresh gx. Every gradient receives the same adds in the
-    same order either way.
+    The backward builds its own gx for every g: an uninitialised (h, wp,
+    c_out) array whose wrapped columns are zeroed and whose interior takes
+    the masked g (or g itself), so the g it is handed is only read. dflat
+    has the padded input's shape and nothing else references it, so its
+    interior view is stored as the input's first gradient without a crop
+    copy (a later gradient is added to it as usual).
     """
     x, w, b = as_node(x), as_node(w), as_node(b)
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -421,8 +422,7 @@ def conv2d(x, w, b, relu: bool = False) -> Node:
     hpad, wp = h + 2 * ph + 1, wd + 2 * pw
     n = h * wp
     pad = x.padded
-    handover = pad is not None and pad.shape == (hpad, wp, ci)
-    if not handover:
+    if pad is None or pad.shape != (hpad, wp, ci):
         pad = np.zeros((hpad, wp, ci))
         pad[ph:ph + h, pw:pw + wd] = x.value
     flat = pad.reshape(-1, ci)
@@ -448,21 +448,12 @@ def conv2d(x, w, b, relu: bool = False) -> Node:
     vx, vw, vb = x.vertex, w.vertex, b.vertex
 
     def bw(g):
-        base = g.base
-        if (base is not None and base.shape == (hpad * wp, co)
-                and base.reshape(hpad, wp, co)[ph:ph + h, pw:pw + wd].__array_interface__
-                == g.__array_interface__):
-            # g is the interior of a following conv's dflat, handed over
-            gx = base[s:s + n].reshape(h, wp, co)
-            gx[:, wd:] = 0.0
-            if relu:
-                np.multiply(g, relu_value > 0.0, out=g)
+        gx = np.empty((h, wp, co))
+        gx[:, wd:] = 0.0
+        if relu:
+            np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
         else:
-            gx = np.zeros((h, wp, co))
-            if relu:
-                np.multiply(g, relu_value > 0.0, out=gx[:, :wd])
-            else:
-                gx[:, :wd] = g
+            gx[:, :wd] = g
         _acc(vb, gx[:, :wd].sum(axis=(0, 1)))
         gx = gx.reshape(n, co)
         dflat = np.zeros_like(flat)
@@ -479,7 +470,7 @@ def conv2d(x, w, b, relu: bool = False) -> Node:
                     if lo < hi:
                         _gemm_acc(wv[dy, dx], gx[lo - o:hi - o].T, dflat[lo:hi].T)
         dx_in = dflat.reshape(-1, wp, ci)[ph:ph + h, pw:pw + wd]
-        _acc(vx, dx_in, copy=not handover)  # handed over, nothing else references dflat
+        _acc(vx, dx_in, copy=False)  # nothing else references dflat
         _acc(vw, dw.sum(axis=0))
 
     node = Node(value, (vx, vw, vb), bw)

@@ -131,8 +131,8 @@ def _correlated_shadowing(h, w, sigma, corr, rng) -> np.ndarray:
 
 
 def _check_dims(h, w, k_bands):
-    if h < 1 or w < 1 or k_bands < 1:
-        raise InvalidArgumentError(f"scene dims must be positive, got {h}x{w}x{k_bands}")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (h, w, k_bands)):
+        raise InvalidArgumentError(f"scene dims must be positive integers, got {h}x{w}x{k_bands}")
     # numpy indexes at most intp's largest value in bytes; a larger grid fails
     # in numpy with a bare ValueError, so refuse it before any draw or allocation
     if int(h) * int(w) * int(k_bands) * 8 > np.iinfo(np.intp).max:
@@ -142,7 +142,7 @@ def _check_dims(h, w, k_bands):
 
 def check_seed(seed) -> None:
     """numpy seeds its generators from non-negative integers only."""
-    if seed < 0:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -188,6 +188,8 @@ class SceneSpec:
         """
         _check_dims(h, w, k_bands)  # before the draws below read h and w
         check_seed(seed)
+        if not isinstance(n_transmitters, (int, np.integer)):
+            raise InvalidArgumentError(f"n_transmitters must be an integer, got {n_transmitters}")
         rng = np.random.Generator(np.random.PCG64(seed))
         txs = []
         for _ in range(n_transmitters):
@@ -255,8 +257,8 @@ def generate_scene(spec: SceneSpec) -> Scene:
 
 def sample_mask(h: int, w: int, percent: float, seed: int) -> ObservationMask:
     """Uniform mask with exactly round(percent * h * w / 100) cells set."""
-    if h < 1 or w < 1:
-        raise InvalidArgumentError(f"grid must be at least 1x1, got {h}x{w}")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (h, w)):
+        raise InvalidArgumentError(f"grid dims must be integers >= 1, got {h}x{w}")
     if not 0.0 < percent <= 100.0:
         raise InvalidArgumentError(f"percent must be in (0, 100], got {percent}")
     n = int(round(percent * h * w / 100.0))

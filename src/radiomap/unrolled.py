@@ -101,10 +101,10 @@ class UnrolledModel:
     def create(cls, h: int = 64, w: int = 64, k_bands: int = 3, k_blocks: int = 5,
                mapper: MapperSpec | None = None, loss_omega: float = 0.8,
                alpha=(1 / 3, 1 / 3, 1 / 3), rho: float = 1e-2, seed: int = 0) -> "UnrolledModel":
-        if k_blocks < 1:
-            raise InvalidArgumentError(f"k_blocks must be >= 1, got {k_blocks}")
-        if k_bands < 1 or h < 1 or w < 1:
-            raise InvalidArgumentError(f"bad dims {h}x{w}x{k_bands}")
+        if not isinstance(k_blocks, (int, np.integer)) or k_blocks < 1:
+            raise InvalidArgumentError(f"k_blocks must be an integer >= 1, got {k_blocks}")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (h, w, k_bands)):
+            raise InvalidArgumentError(f"dims must be integers >= 1, got {h}x{w}x{k_bands}")
         if not 0.0 <= loss_omega <= 1.0:
             raise InvalidArgumentError(f"loss_omega must be in [0, 1], got {loss_omega}")
         check_seed(seed)

@@ -513,6 +513,10 @@ def test_scene_spec_validation():
     with pytest.raises(InvalidArgumentError):
         # over the 2% obstruction budget
         SceneSpec.random(10, 10, 1, n_obstructions=3, seed=0)
+    for args, kwargs in (((16.5, 16, 3), {}), ((16, 16, 3.0), {}),
+                         ((16, 16, 3), {"n_transmitters": 1.5}), ((16, 16, 3), {"seed": 1.5})):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            SceneSpec.random(*args, **kwargs)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -562,3 +566,6 @@ def test_sample_mask_validation():
         sample_mask(8, 8, 101.0, seed=0)
     with pytest.raises(InvalidArgumentError):
         sample_mask(8, 8, 0.1, seed=0)  # rounds to zero cells
+    for h, w, seed in ((16.5, 16, 0), (16, 16.0, 0), (16, 16, 1.5)):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            sample_mask(h, w, 20.0, seed)

@@ -331,8 +331,7 @@ def test_block_release_changes_no_bit_of_training_or_inference(monkeypatch):
     """Training history, trained parameters and infer outputs are the same
     bits when each forward value is freed as soon as the forward code drops
     it, when every Node built is kept alive, and when no conv output carries
-    its padded buffer, so that no conv reads its input's buffer or hands the
-    input gradient over in the padded layout."""
+    its padded buffer, so that no conv reads its input's buffer."""
     cfg = TrainConfig(epochs=2, lr=1e-3, seed=3, val_split=0.25)
     d, mask = small_dataset(1)[0]
     conv2d = ad.conv2d
@@ -598,6 +597,8 @@ def test_train_config_validation():
         TrainConfig(val_split=0.0)
     with pytest.raises(InvalidArgumentError):
         TrainConfig(lr=-1.0)
+    with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+        TrainConfig(seed=1.5)
 
 
 def test_train_config_epochs_must_be_an_integer():
@@ -628,3 +629,7 @@ def test_model_create_validation():
         UnrolledModel.create(seed=-1)
     with pytest.raises(InvalidArgumentError):
         UnrolledModel.create(k_bands=0)
+    for bad in ({"k_blocks": 2.5}, {"k_blocks": 2.0}, {"k_bands": 3.0}, {"h": 64.5},
+                {"w": 64.0}, {"seed": 1.5}):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            UnrolledModel.create(**bad)
